@@ -77,64 +77,3 @@ from .synth_datagen import (
     generate_datapoints,
     load_templates,
 )
-
-__all__ = [
-    "AccuracyReport",
-    "BBox",
-    "Cluster",
-    "ClusterEncoding",
-    "ConstantResolver",
-    "DataPoint",
-    "DatasetError",
-    "EncoderConfig",
-    "Entity",
-    "EvaluationError",
-    "FieldSpec",
-    "INSTRUCTION",
-    "LanguageTemplate",
-    "Level",
-    "OnscreenParse",
-    "OracleResolver",
-    "PlacedObject",
-    "Placement",
-    "Point",
-    "Prediction",
-    "Prompt",
-    "RemoteResolver",
-    "Resolver",
-    "ResolverError",
-    "RuleConflictError",
-    "RuleRegistry",
-    "ScreenObject",
-    "SlotList",
-    "TemplateError",
-    "TextualizationRule",
-    "assign_entity_cluster",
-    "bbox_center",
-    "build_cluster_encoding",
-    "build_conversational_prompt",
-    "build_onscreen_prompt",
-    "collect_objects",
-    "dbscan_cluster",
-    "default_registry",
-    "encode_clusters",
-    "encode_screen",
-    "evaluate_dataset",
-    "expand_template",
-    "expansion_count",
-    "generate_datapoints",
-    "group_levels",
-    "load_dataset",
-    "load_rules",
-    "load_templates",
-    "parse_dataset",
-    "parse_prediction",
-    "prompt_for_datapoint",
-    "rect_distance",
-    "render_parse",
-    "save_dataset",
-    "score",
-    "shuffle_entities",
-    "sort_objects",
-    "textualize_entity",
-]

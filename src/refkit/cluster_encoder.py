@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from statistics import median
 from typing import Sequence
 
-from .screen_model import BBox, Entity, ScreenObject, bbox_center
+from .screen_model import (
+    BBox, Entity, ScreenObject, bbox_center, median_height, unique_objects
+)
 
 NOISE_CLUSTER_ID = -1
 
@@ -139,10 +140,7 @@ def has_token_overlap(a: str, b: str) -> bool:
 
 
 def build_cluster_encoding(
-    entity_index: int,
-    entity: Entity,
-    clusters: Sequence[Cluster],
-    screen_extent: BBox | None = None,
+    entity_index: int, entity: Entity, clusters: Sequence[Cluster]
 ) -> ClusterEncoding:
     """Context texts from the entity's cluster plus its absolute position.
 
@@ -150,8 +148,6 @@ def build_cluster_encoding(
     filtered out, so the entity's duplicate on-screen string never lands in
     its own context.
     """
-    if entity.placement is None:
-        raise ValueError("entity has no placement")
     cluster = assign_entity_cluster(entity, clusters)
     texts: tuple[str, ...] = ()
     if cluster is not None:
@@ -161,13 +157,11 @@ def build_cluster_encoding(
             if not has_token_overlap(entity.display_text, member.text)
         )
     center = bbox_center(entity.placement.box)
-    top_origin = screen_extent.top if screen_extent is not None else 0.0
-    left_origin = screen_extent.left if screen_extent is not None else 0.0
     return ClusterEncoding(
         entity_index=entity_index,
         surrounding_prompt=texts,
-        distance_from_top=center.y - top_origin,
-        distance_from_left=center.x - left_origin,
+        distance_from_top=center.y,
+        distance_from_left=center.x,
     )
 
 
@@ -176,7 +170,6 @@ def encode_clusters(
     entities: Sequence[Entity],
     eps: float | None = None,
     min_pts: int = 1,
-    screen_extent: BBox | None = None,
 ) -> list[ClusterEncoding]:
     """Cluster each entity's neighborhood and build its encoding.
 
@@ -188,20 +181,10 @@ def encode_clusters(
     for index, entity in enumerate(entities, 1):
         if entity.placement is None:
             raise ValueError(f"entity {index} has no placement")
-        unique: dict[tuple[str, BBox], ScreenObject] = {}
-        for obj in list(entity.placement.surrounding) + list(screen):
-            unique.setdefault((obj.text, obj.box), obj)
-        objects = list(unique.values())
-        if not objects:
-            encodings.append(
-                build_cluster_encoding(index, entity, (), screen_extent)
-            )
-            continue
-        scene_eps = eps
-        if scene_eps is None:
-            scene_eps = median(obj.box.height for obj in objects) or 1.0
-        clusters = dbscan_cluster(objects, scene_eps, min_pts)
-        encodings.append(
-            build_cluster_encoding(index, entity, clusters, screen_extent)
-        )
+        objects = unique_objects(entity.placement.surrounding, screen)
+        clusters: list[Cluster] = []
+        if objects:
+            scene_eps = (median_height(objects) or 1.0) if eps is None else eps
+            clusters = dbscan_cluster(objects, scene_eps, min_pts)
+        encodings.append(build_cluster_encoding(index, entity, clusters))
     return encodings

@@ -64,12 +64,12 @@ class TextualizationRule:
         return self.alias if self.alias is not None else camel_case(self.type_name)
 
 
-def _render_generic(entity: Entity) -> str:
-    parts = [_clean(value) for _, value in entity.properties]
-    tag = f"Type: {camel_case(entity.entity_type)}"
+def _tagged(name: str, parts: list[str], separator: str = _TYPE_JOIN) -> str:
+    """"Type: <name>", then " | " and the parts joined by separator, if any."""
+    tag = f"Type: {name}"
     if not parts:
         return tag
-    return tag + _TYPE_JOIN + _TYPE_JOIN.join(parts)
+    return tag + _TYPE_JOIN + separator.join(parts)
 
 
 class RuleRegistry:
@@ -97,7 +97,8 @@ class RuleRegistry:
     def textualize(self, entity: Entity) -> str:
         rule = self.rule_for(entity.entity_type)
         if rule is None:
-            return _render_generic(entity)
+            parts = [_clean(value) for _, value in entity.properties]
+            return _tagged(camel_case(entity.entity_type), parts)
         properties = dict(entity.properties)
         parts = []
         for spec in rule.fields:
@@ -105,18 +106,12 @@ class RuleRegistry:
                 continue
             value = _clean(properties[spec.key])
             parts.append(f"{spec.key}: {value}" if spec.labeled else value)
-        tag = f"Type: {rule.display_name}"
-        if not parts:
-            return tag
-        return tag + _TYPE_JOIN + rule.field_separator.join(parts)
+        return _tagged(rule.display_name, parts, rule.field_separator)
 
     def copy(self) -> "RuleRegistry":
         clone = RuleRegistry()
         clone._rules = dict(self._rules)
         return clone
-
-    def __contains__(self, type_name: str) -> bool:
-        return type_name.lower() in self._rules
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import re
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
@@ -26,6 +27,9 @@ from .screen_model import DataPoint
 _INT_RE = re.compile(r"-?\d+")
 
 _KIND_COLUMNS = (("Conv", "conversational"), ("Synth", "synthetic"), ("Screen", "onscreen"))
+
+# A run fails when more than this share of its items could not be resolved.
+MAX_FAILURE_RATE = 0.10
 
 
 class ResolverError(RuntimeError):
@@ -148,7 +152,10 @@ class RemoteResolver:
                 timeout=self.timeout,
             )
             response.raise_for_status()
-            return str(response.json()["text"])
+            body = response.json()
+            if not isinstance(body, dict):
+                raise ValueError(f"reply is not a JSON object: {body!r:.80}")
+            return str(body["text"])
         except (requests.RequestException, ValueError, KeyError) as exc:
             raise ResolverError(f"resolver request failed: {exc}") from exc
 
@@ -229,25 +236,24 @@ def evaluate_dataset(
     dataset_name: str = "dataset",
     registry: RuleRegistry | None = None,
     max_workers: int = 1,
-    max_failure_rate: float = 0.10,
 ) -> AccuracyReport:
     """Prompt, resolve, parse, and score every datapoint.
 
     Transport failures mark the item incorrect and the run continues; the
-    run itself fails only when more than max_failure_rate of items could not
+    run itself fails only when more than MAX_FAILURE_RATE of items could not
     be resolved. With max_workers > 1 resolver calls fan out over a thread
     pool; aggregation is order-independent either way.
     """
     datapoints = list(datapoints)
 
-    def evaluate_item(datapoint: DataPoint) -> tuple[str, bool, bool, bool]:
+    def evaluate_item(datapoint: DataPoint) -> tuple[str, str]:
         prompt = prompt_for_datapoint(
             datapoint, seed=item_seed(seed, datapoint), config=config, registry=registry
         )
         try:
             raw = resolver.resolve(prompt, datapoint)
         except ResolverError:
-            return datapoint.kind, False, False, True
+            return datapoint.kind, "failed"
         prediction = parse_prediction(raw, len(datapoint.entities))
         if prediction.valid:
             prediction = Prediction(
@@ -255,8 +261,9 @@ def evaluate_dataset(
                 prediction.raw,
                 True,
             )
-        correct = score(prediction, datapoint.ground_truth)
-        return datapoint.kind, correct, not prediction.valid, False
+        if score(prediction, datapoint.ground_truth):
+            return datapoint.kind, "correct"
+        return datapoint.kind, "wrong" if prediction.valid else "invalid"
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -264,29 +271,30 @@ def evaluate_dataset(
     else:
         outcomes = [evaluate_item(dp) for dp in datapoints]
 
-    totals: dict[str, int] = {}
-    corrects: dict[str, int] = {}
-    invalid = 0
-    failures = 0
-    for kind, correct, was_invalid, failed in outcomes:
-        totals[kind] = totals.get(kind, 0) + 1
-        corrects[kind] = corrects.get(kind, 0) + (1 if correct else 0)
-        invalid += 1 if was_invalid else 0
-        failures += 1 if failed else 0
+    # (kind, outcome) -> items; an item's outcome is correct, wrong, invalid or failed.
+    tally = Counter(outcomes)
 
-    total = sum(totals.values())
-    if total and failures > max_failure_rate * total:
+    def count(kind: str | None = None, outcome: str | None = None) -> int:
+        """Items of the kind with the outcome; None matches any."""
+        return sum(
+            n for (k, o), n in tally.items() if kind in (None, k) and outcome in (None, o)
+        )
+
+    total = len(outcomes)
+    failures = count(outcome="failed")
+    if total and failures > MAX_FAILURE_RATE * total:
         raise EvaluationError(
-            f"{failures}/{total} resolver calls failed (> {max_failure_rate:.0%})"
+            f"{failures}/{total} resolver calls failed (> {MAX_FAILURE_RATE:.0%})"
         )
     per_kind = tuple(
-        (kind, KindStats(totals[kind], corrects[kind])) for kind in sorted(totals)
+        (kind, KindStats(count(kind), count(kind, "correct")))
+        for kind in sorted({kind for kind, _ in tally})
     )
     return AccuracyReport(
         dataset=dataset_name,
         total=total,
-        correct=sum(corrects.values()),
-        invalid=invalid,
+        correct=count(outcome="correct"),
+        invalid=count(outcome="invalid"),
         transport_failures=failures,
         per_kind=per_kind,
     )

@@ -2,42 +2,41 @@
 
 The pipeline is collect -> sort -> group -> render: gather every text box,
 order them top-to-bottom then left-to-right, partition into visual lines by
-a vertical margin, and join lines with tabs/newlines so the output text
-preserves the relative spatial arrangement. Entities are injected into the
-object set as numbered `{{i. text}}` markers so a downstream model can name
-them by index.
+a vertical margin, and join objects on one line with a tab and lines with a
+newline so the output text preserves the relative spatial arrangement.
+Entities are injected into the object set as numbered `{{i. text}}` markers
+so a downstream model can name them by index. The separators and the marker
+form are fixed; only the margin and the marker injection are configurable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import median
 from typing import Iterable, Sequence
 
-from .screen_model import BBox, Entity, ScreenObject, bbox_center
+from .screen_model import (
+    BBox, Entity, ScreenObject, bbox_center, median_height, unique_objects
+)
+
+SAME_LINE_SEPARATOR = "\t"
+LINE_SEPARATOR = "\n"
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Knobs for the layout parse.
+    """The two settings of the layout parse.
 
     margin=None derives the same-line tolerance from the screen itself
     (half the median object height). inject_markers=False leaves the raw
     entity text in place instead of numbered markers, which reproduces the
-    plain screen-grab variant of the encoding.
+    plain screen-grab variant of the encoding. The rest is fixed: a tab
+    between objects on one line, a newline between lines, and markers of the
+    form `{{i. text}}`.
     """
 
     margin: float | None = None
-    same_line_separator: str = "\t"
-    line_separator: str = "\n"
-    marker_open: str = "{{"
-    marker_close: str = "}}"
     inject_markers: bool = True
 
     def __post_init__(self) -> None:
-        if not self.same_line_separator or not self.line_separator:
-            raise ValueError("separators must be non-empty")
-        if self.marker_open == self.marker_close:
-            raise ValueError("marker_open and marker_close must differ")
         if self.margin is not None and self.margin < 0:
             raise ValueError("margin must be >= 0")
 
@@ -71,8 +70,8 @@ class OnscreenParse:
     marker_spans: tuple[tuple[int, tuple[int, int]], ...] = ()
 
 
-def marker_text(index: int, display_text: str, config: EncoderConfig) -> str:
-    return f"{config.marker_open}{index}. {display_text}{config.marker_close}"
+def marker_text(index: int, display_text: str) -> str:
+    return f"{{{{{index}. {display_text}}}}}"
 
 
 def collect_objects(
@@ -92,21 +91,18 @@ def collect_objects(
         if entity.placement is None:
             raise ValueError(f"entity {position} has no placement")
 
-    plain: dict[tuple[str, BBox], ScreenObject] = {}
-    for obj in list(screen) + [o for e in entities for o in e.placement.surrounding]:
-        plain.setdefault((obj.text, obj.box), obj)
-
+    plain = unique_objects(screen, *(entity.placement.surrounding for entity in entities))
     entity_boxes = {entity.placement.box for entity in entities}
     collected = [
         PlacedObject(obj.text, obj.box)
-        for obj in plain.values()
+        for obj in plain
         if obj.box not in entity_boxes
     ]
     for index, entity in enumerate(entities, 1):
         if config.inject_markers:
             collected.append(
                 PlacedObject(
-                    marker_text(index, entity.display_text, config),
+                    marker_text(index, entity.display_text),
                     entity.placement.box,
                     entity_index=index,
                 )
@@ -119,11 +115,10 @@ def collect_objects(
 def sort_objects(objects: Iterable[PlacedObject]) -> list[PlacedObject]:
     """Order objects top-to-bottom, breaking center-y ties left-to-right.
 
-    Two stable passes: sort by center-x first, then by center-y, so the final
-    order is lexicographic (center_y, center_x, input position).
+    One stable sort keyed on the reversed center (y, x), so the order is
+    lexicographic (center_y, center_x, input position).
     """
-    by_x = sorted(objects, key=lambda o: bbox_center(o.box).x)
-    return sorted(by_x, key=lambda o: bbox_center(o.box).y)
+    return sorted(objects, key=lambda o: bbox_center(o.box)[::-1])
 
 
 def group_levels(sorted_objects: Sequence[PlacedObject], margin: float) -> list[Level]:
@@ -151,23 +146,20 @@ def group_levels(sorted_objects: Sequence[PlacedObject], margin: float) -> list[
     return levels
 
 
-def render_parse(
-    levels: Sequence[Level], config: EncoderConfig | None = None
-) -> OnscreenParse:
-    """Join level members with the same-line separator and levels with the
-    line separator, recording the span of every entity marker."""
-    config = config or EncoderConfig()
+def render_parse(levels: Sequence[Level]) -> OnscreenParse:
+    """Join level members with a tab and levels with a newline, recording the
+    span of every entity marker."""
     pieces: list[str] = []
     spans: list[tuple[int, tuple[int, int]]] = []
     offset = 0
     for level_index, level in enumerate(levels):
         if level_index:
-            pieces.append(config.line_separator)
-            offset += len(config.line_separator)
+            pieces.append(LINE_SEPARATOR)
+            offset += len(LINE_SEPARATOR)
         for member_index, obj in enumerate(level.members):
             if member_index:
-                pieces.append(config.same_line_separator)
-                offset += len(config.same_line_separator)
+                pieces.append(SAME_LINE_SEPARATOR)
+                offset += len(SAME_LINE_SEPARATOR)
             if obj.entity_index is not None:
                 spans.append((obj.entity_index, (offset, offset + len(obj.text))))
             pieces.append(obj.text)
@@ -177,8 +169,7 @@ def render_parse(
 
 def default_margin(objects: Sequence[PlacedObject]) -> float:
     """Scale-free same-line tolerance: half the median object height."""
-    heights = [obj.box.height for obj in objects]
-    return 0.5 * median(heights) if heights else 0.0
+    return 0.5 * median_height(objects)
 
 
 def encode_screen(
@@ -191,4 +182,4 @@ def encode_screen(
     objects = collect_objects(screen, entities, config)
     margin = config.margin if config.margin is not None else default_margin(objects)
     levels = group_levels(sort_objects(objects), margin)
-    return render_parse(levels, config)
+    return render_parse(levels)

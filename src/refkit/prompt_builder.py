@@ -32,14 +32,6 @@ class Prompt:
     index_map: tuple[int, ...]
     variant: str
 
-    def to_original(self, option: int) -> int:
-        """Translate a prompt option number to the original entity position."""
-        if option == 0:
-            return 0
-        if not 1 <= option <= len(self.index_map):
-            raise ValueError(f"option {option} out of range 1..{len(self.index_map)}")
-        return self.index_map[option - 1]
-
     def to_option(self, original: int) -> int:
         """Translate an original entity position to its prompt option number."""
         if original == 0:
@@ -65,14 +57,6 @@ def shuffle_entities(
     return tuple(entities[i - 1] for i in order), tuple(order)
 
 
-def ground_truth_to_options(gt: Iterable[int], index_map: Sequence[int]) -> frozenset[int]:
-    """Map original ground-truth positions into prompt option numbers."""
-    gt = frozenset(gt)
-    return frozenset(
-        option for option, original in enumerate(index_map, 1) if original in gt
-    )
-
-
 def options_to_original(options: Iterable[int], index_map: Sequence[int]) -> frozenset[int]:
     """Map prompt option numbers back to original positions; 0 passes through."""
     result = set()
@@ -82,6 +66,11 @@ def options_to_original(options: Iterable[int], index_map: Sequence[int]) -> fro
         else:
             result.add(index_map[option - 1])
     return frozenset(result)
+
+
+def _prompt_text(request: str, body: Sequence[str]) -> str:
+    """The instruction, the request, the variant's body lines, the answer cue."""
+    return "\n".join((INSTRUCTION, "", f"User request: {request}", *body, "Relevant entity:"))
 
 
 def build_conversational_prompt(
@@ -95,19 +84,12 @@ def build_conversational_prompt(
     if not entities:
         raise ValueError("a prompt needs at least one candidate entity")
     shuffled, index_map = shuffle_entities(entities, seed)
-    lines = [
-        INSTRUCTION,
-        "",
-        f"User request: {request}",
-        "User Entities:",
-        "0. None",
-    ]
+    lines = ["User Entities:", "0. None"]
     lines.extend(
         f"{option}. {textualize_entity(entity, registry)}"
         for option, entity in enumerate(shuffled, 1)
     )
-    lines.append("Relevant entity:")
-    return Prompt("\n".join(lines), index_map, "conversational")
+    return Prompt(_prompt_text(request, lines), index_map, "conversational")
 
 
 def build_onscreen_prompt(request: str, parse: OnscreenParse) -> Prompt:
@@ -120,15 +102,8 @@ def build_onscreen_prompt(request: str, parse: OnscreenParse) -> Prompt:
     n = len(parse.marker_spans)
     if n == 0:
         raise ValueError("onscreen prompt needs a parse with entity markers")
-    lines = [
-        INSTRUCTION,
-        "",
-        f"User request: {request}",
-        "Screen:",
-        parse.text,
-        "Relevant entity:",
-    ]
-    return Prompt("\n".join(lines), tuple(range(1, n + 1)), "onscreen")
+    text = _prompt_text(request, ("Screen:", parse.text))
+    return Prompt(text, tuple(range(1, n + 1)), "onscreen")
 
 
 def prompt_for_datapoint(

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from statistics import median
+from typing import IO, Iterable, NamedTuple
 
 KINDS = ("conversational", "synthetic", "onscreen")
 
@@ -20,8 +21,7 @@ class DatasetError(ValueError):
     """Raised when a dataset stream cannot be parsed or validated."""
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     x: float
     y: float
 
@@ -134,7 +134,7 @@ class DataPoint:
             raise ValueError(f"unknown datapoint kind {self.kind!r}")
         n = len(self.entities)
         for index in self.ground_truth:
-            if not isinstance(index, int) or not 1 <= index <= n:
+            if type(index) is not int or not 1 <= index <= n:
                 raise ValueError(f"ground_truth index {index!r} out of range 1..{n}")
         if self.kind == "onscreen":
             for position, entity in enumerate(self.entities, 1):
@@ -142,6 +142,17 @@ class DataPoint:
                     raise ValueError(
                         f"onscreen datapoint: entity {position} has no placement"
                     )
+
+
+def unique_objects(*groups: Iterable[ScreenObject]) -> list[ScreenObject]:
+    """The objects of all groups in order, deduplicated by (text, box)."""
+    return list(dict.fromkeys(obj for group in groups for obj in group))
+
+
+def median_height(objects: Iterable) -> float:
+    """Median `box.height` of the objects; 0.0 when there are none."""
+    heights = [obj.box.height for obj in objects]
+    return median(heights) if heights else 0.0
 
 
 # --- JSONL dataset codec ---------------------------------------------------
@@ -188,9 +199,14 @@ def _entity_from_json(value: object) -> Entity:
             box=_box_from_json(value["box"]),
             surrounding=tuple(_object_from_json(o) for o in value.get("surrounding", [])),
         )
+    properties = value.get("properties", [])
+    if not isinstance(properties, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in properties
+    ):
+        raise ValueError(f"properties must be [key, value] pairs, got {properties!r}")
     return Entity(
         entity_type=value["type"],
-        properties=tuple((k, v) for k, v in value.get("properties", [])),
+        properties=tuple(properties),
         display_text=value.get("display_text"),
         placement=placement,
     )
@@ -216,7 +232,7 @@ def datapoint_from_record(record: object) -> DataPoint:
             raise ValueError(f"record missing required field {key!r}")
     ground_truth = record["ground_truth"]
     if not isinstance(ground_truth, list) or not all(
-        isinstance(i, int) for i in ground_truth
+        type(i) is int for i in ground_truth
     ):
         raise ValueError("ground_truth must be an array of integers")
     screen = None
@@ -243,17 +259,19 @@ def parse_dataset(text: str | bytes) -> list[DataPoint]:
     """Parse line-delimited JSON records into validated DataPoints.
 
     Raises DatasetError naming the 1-based line number of the first bad record.
+    Records are split at "\n" only: format_dataset writes U+2028, U+2029 and
+    U+0085 unescaped, and str.splitlines() would break a record at them.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     datapoints = []
-    for line_number, line in enumerate(text.splitlines(), 1):
+    for line_number, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
             datapoints.append(datapoint_from_record(record))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise DatasetError(f"line {line_number}: {exc}") from exc
     return datapoints
 

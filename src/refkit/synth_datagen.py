@@ -70,6 +70,17 @@ def placeholders(variation: str) -> list[str]:
     return seen
 
 
+def check_placeholders(template: LanguageTemplate, slots: SlotList) -> None:
+    """Raise TemplateError at the first placeholder the slot list does not define."""
+    for variation in template.variations:
+        for name in placeholders(variation):
+            if name not in slots.slots:
+                raise TemplateError(
+                    f"template {template.id!r}: variation {variation!r} uses "
+                    f"unknown slot [{name}]"
+                )
+
+
 def expansion_count(template: LanguageTemplate, slots: SlotList) -> int:
     """Number of queries expansion will produce: sum over variations of the
     product of that variation's slot sizes."""
@@ -88,15 +99,10 @@ def expand_template(template: LanguageTemplate, slots: SlotList) -> list[str]:
     A placeholder appearing twice in one variation receives the same value
     in both positions.
     """
+    check_placeholders(template, slots)
     queries: list[str] = []
     for variation in template.variations:
         names = placeholders(variation)
-        for name in names:
-            if name not in slots.slots:
-                raise TemplateError(
-                    f"template {template.id!r}: variation {variation!r} uses "
-                    f"unknown slot [{name}]"
-                )
         if not names:
             queries.append(variation)
             continue
@@ -185,13 +191,7 @@ def _pair_from_mapping(entry: object, fallback_id: str) -> tuple[LanguageTemplat
         ground_truth_types=tuple(str(t) for t in gt_types),
     )
     # Surface bad placeholders at load time, not mid-generation.
-    for variation in template.variations:
-        for name in placeholders(variation):
-            if name not in slots.slots:
-                raise TemplateError(
-                    f"template {template.id!r}: variation {variation!r} uses "
-                    f"unknown slot [{name}]"
-                )
+    check_placeholders(template, slots)
     return template, slots
 
 

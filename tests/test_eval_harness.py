@@ -18,6 +18,7 @@ from refkit import (
     prompt_for_datapoint,
     score,
 )
+from refkit.prompt_builder import options_to_original
 from refkit.synth_datagen import LanguageTemplate, SlotList
 from refkit.value_bank import pool_entities
 
@@ -110,7 +111,7 @@ class TestOracleResolver:
             prompt = prompt_for_datapoint(dp, seed=11)
             raw = oracle.resolve(prompt, dp)
             prediction = parse_prediction(raw, len(dp.entities))
-            mapped = frozenset(prompt.to_original(i) for i in prediction.indices)
+            mapped = options_to_original(prediction.indices, prompt.index_map)
             assert mapped == dp.ground_truth
 
     def test_none_case_emits_zero(self):
@@ -282,6 +283,19 @@ class TestRemoteResolver:
                 resolver.resolve(prompt_for_datapoint(dp, seed=0), dp)
         finally:
             _Handler.status = 200
+
+    def test_non_object_reply_is_resolver_error(self, http_endpoint):
+        _Handler.reply = [1]
+        try:
+            resolver = RemoteResolver(http_endpoint)
+            dp = rainbow_datapoint()
+            with pytest.raises(ResolverError, match="JSON object"):
+                resolver.resolve(prompt_for_datapoint(dp, seed=0), dp)
+            # Every reply failing is a run error, not a TypeError from one item.
+            with pytest.raises(EvaluationError):
+                evaluate_dataset(small_synthetic_set(4), resolver, seed=0)
+        finally:
+            _Handler.reply = {"text": "0"}
 
     def test_evaluate_against_live_endpoint(self, http_endpoint):
         datapoints = small_synthetic_set(4)

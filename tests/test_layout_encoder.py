@@ -297,16 +297,6 @@ class TestEncodeScreen:
         ]
         assert encode_screen(screen, entities).text == REALTOR_PARSE_TEXT
 
-    def test_custom_markers(self):
-        entity = Entity(
-            "person",
-            (("name", "Ana"),),
-            display_text="Ana",
-            placement=Placement(BBox(0, 0, 10, 4)),
-        )
-        config = EncoderConfig(marker_open="[[", marker_close="]]")
-        assert encode_screen([], [entity], config).text == "[[1. Ana]]"
-
     def test_default_margin_is_half_median_height(self):
         objects = [obj("a", 0, 0, h=10), obj("b", 0, 50, h=20), obj("c", 0, 100, h=40)]
         assert default_margin(objects) == 10.0
@@ -314,16 +304,6 @@ class TestEncodeScreen:
 
 
 class TestConfigValidation:
-    def test_empty_separator_rejected(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(same_line_separator="")
-        with pytest.raises(ValueError):
-            EncoderConfig(line_separator="")
-
-    def test_equal_markers_rejected(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(marker_open="%%", marker_close="%%")
-
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             EncoderConfig(margin=-1)

@@ -19,7 +19,7 @@ from refkit import (
     shuffle_entities,
 )
 from refkit.entity_textualizer import FieldSpec, TextualizationRule
-from refkit.prompt_builder import ground_truth_to_options, options_to_original
+from refkit.prompt_builder import options_to_original
 
 from conftest import REALTOR_PARSE_TEXT
 
@@ -93,17 +93,18 @@ class TestShuffle:
 
     def test_ground_truth_remap_round_trip(self):
         entities = make_entities(7)
-        _, index_map = shuffle_entities(entities, seed=13)
+        prompt = build_conversational_prompt("call them", entities, seed=13)
         gt = frozenset({2, 5})
-        options = ground_truth_to_options(gt, index_map)
-        assert options_to_original(options, index_map) == gt
+        options = {prompt.to_option(i) for i in gt}
+        assert options_to_original(options, prompt.index_map) == gt
 
     @given(st.integers(0, 10_000), st.integers(1, 12))
     def test_remap_round_trip_property(self, seed, n):
         rng = random.Random(seed)
-        _, index_map = shuffle_entities(make_entities(n), seed)
+        prompt = build_conversational_prompt("call them", make_entities(n), seed=seed)
         gt = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
-        assert options_to_original(ground_truth_to_options(gt, index_map), index_map) == gt
+        options = {prompt.to_option(i) for i in gt}
+        assert options_to_original(options, prompt.index_map) == gt
 
 
 class TestConversationalPrompt:

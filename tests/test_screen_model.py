@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refkit import (
@@ -86,6 +86,8 @@ class TestInvariants:
             DataPoint("hi", (entity,), ground_truth={2})
         with pytest.raises(ValueError):
             DataPoint("hi", (entity,), ground_truth={0})
+        with pytest.raises(ValueError):
+            DataPoint("hi", (entity,), ground_truth={True})
 
     def test_onscreen_requires_placements(self):
         entity = Entity("person", (("name", "A"),))
@@ -96,6 +98,57 @@ class TestInvariants:
         entity = Entity("person", (("name", "A"),))
         with pytest.raises(ValueError):
             DataPoint("hi", (entity,), kind="background")
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def well_shaped_or_any(strategy):
+    """Mostly a value of the expected shape, so records get past the first
+    check often enough to reach the deeper ones; otherwise arbitrary JSON."""
+    return st.one_of(strategy, strategy, strategy, json_values)
+
+
+# Integers past the float range must be rejected, not raise OverflowError.
+json_numbers = st.integers() | st.integers(10**300, 10**400) | st.floats()
+json_boxes = well_shaped_or_any(st.lists(json_numbers, min_size=4, max_size=4))
+json_objects = well_shaped_or_any(
+    st.fixed_dictionaries({"text": well_shaped_or_any(st.text(min_size=1)), "box": json_boxes})
+)
+json_entities = well_shaped_or_any(
+    st.fixed_dictionaries(
+        {"type": well_shaped_or_any(st.sampled_from(["person", "url"]))},
+        optional={
+            "properties": well_shaped_or_any(
+                st.lists(st.lists(st.text(max_size=4), max_size=3), max_size=3)
+            ),
+            "display_text": well_shaped_or_any(st.text(max_size=8)),
+            "box": json_boxes,
+            "surrounding": well_shaped_or_any(st.lists(json_objects, max_size=3)),
+        },
+    )
+)
+json_records = st.lists(
+    well_shaped_or_any(
+        st.fixed_dictionaries(
+            {
+                "request": well_shaped_or_any(st.text()),
+                "kind": well_shaped_or_any(st.sampled_from(["conversational", "onscreen"])),
+                "entities": well_shaped_or_any(st.lists(json_entities, max_size=3)),
+                "ground_truth": well_shaped_or_any(st.lists(st.integers(0, 4), max_size=3)),
+            },
+            optional={"screen": well_shaped_or_any(st.lists(json_objects, max_size=3))},
+        )
+    ),
+    min_size=1,
+    max_size=3,
+)
 
 
 class TestDatasetCodec:
@@ -185,6 +238,63 @@ class TestDatasetCodec:
         ]
         for name, expected in pairs:
             assert load_dataset(str(DATA_DIR / name)) == [expected], name
+
+    @pytest.mark.parametrize(
+        "properties", [{"ab": "1"}, ["ab"], [["a"]], [["a", "b", "c"]], "ab"]
+    )
+    def test_properties_must_be_pairs(self, properties):
+        record = {
+            "request": "x",
+            "kind": "conversational",
+            "entities": [{"type": "person", "properties": properties}],
+            "ground_truth": [],
+        }
+        good = json.dumps({**record, "entities": [{"type": "person", "properties": []}]})
+        with pytest.raises(DatasetError, match="line 2: .*properties"):
+            parse_dataset(good + "\n" + json.dumps(record))
+
+    def test_bool_ground_truth_rejected(self):
+        record = {
+            "request": "x",
+            "kind": "conversational",
+            "entities": [{"type": "person", "properties": [["name", "A"]]}],
+            "ground_truth": [True],
+        }
+        with pytest.raises(DatasetError, match="line 1: ground_truth"):
+            parse_dataset(json.dumps(record))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"request": "x", "kind": "onscreen", "ground_truth": [], "entities": '
+            '[{"type": "url", "display_text": "a", "box": [1%s, 0, 1, 1]}]}' % ("0" * 400),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["huge-number", "deep-nesting"],
+    )
+    def test_pathological_json_names_line(self, line):
+        with pytest.raises(DatasetError, match="line 1"):
+            parse_dataset(line)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separators_round_trip(self, tmp_path, separator):
+        entity = Entity("general text", (("value", f"a{separator}b"),))
+        datapoints = [
+            DataPoint(f"say{separator}this", (entity,), frozenset({1}), "synthetic"),
+            rainbow_datapoint(),
+        ]
+        path = tmp_path / "ds.jsonl"
+        save_dataset(str(path), datapoints)
+        assert load_dataset(str(path)) == datapoints
+
+    @settings(max_examples=200)
+    @given(json_records)
+    def test_arbitrary_records_raise_only_dataset_error(self, records):
+        text = "\n".join(json.dumps(record) for record in records)
+        try:
+            parse_dataset(text)
+        except DatasetError:
+            pass
 
     def test_record_shape(self):
         record = datapoint_to_record(realtor_datapoint())
