@@ -7,10 +7,17 @@ texts (minus anything overlapping the entity's own text) become its context
 along with the entity's absolute position. The per-entity context lists
 make total prompt size grow super-linearly with cluster size, which is why
 the layout parse is the production path.
+
+Clustering is DBSCAN with its region queries answered from a uniform
+spatial grid. The grid is exact: every neighbourhood, and so every cluster
+and encoding, is identical to what a scan over all objects gives. A scene of
+n objects with about m neighbours each costs about O(n * m) distance tests;
+the worst case, boxes that all span the scene, stays the scan's O(n^2).
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,6 +54,81 @@ def rect_distance(a: BBox, b: BBox) -> float:
     return math.hypot(gap_x, gap_y)
 
 
+# Extra reach of a query, in cells, beyond eps: far above the rounding error
+# of a cell position (a few ulps of at most k + 3) and far below a cell.
+_REACH_MARGIN = 2.0**-20
+
+
+def _axis_cells(
+    starts: list[float], ends: list[float], eps: float, k: int
+) -> tuple[list[range], list[range]]:
+    """Along one axis: the cells each box covers and the cells its query scans.
+
+    Cells have side max(eps, extent / k) and are numbered from 1 at the
+    smallest start, so every box lies within cells 1..k+1 however large it
+    is or small eps is, and every scan within 0..k+2. A box at most eps away
+    along the axis is then at most one cell away, and each query scans its
+    box's cells widened by that reach. Offsets past the float range are
+    clamped; clamping, like rounding, is monotone and widens no gap, so it
+    cannot push a neighbour out of reach.
+    """
+    top = sys.float_info.max
+    origin = min(starts)
+    side = min(max(eps, (max(ends) - origin) / k), top)
+    reach = min(eps / side, 1.0) + _REACH_MARGIN
+    covers, scans = [], []
+    for start, end in zip(starts, ends):
+        low, high = start - origin, end - origin
+        low = 1 + (low if low < top else top) / side
+        high = 1 + (high if high < top else top) / side
+        covers.append(range(int(low), int(high) + 1))
+        scans.append(range(int(low - reach), int(high + reach) + 1))
+    return covers, scans
+
+
+def _neighbor_lists(boxes: Sequence[BBox], eps: float) -> list[list[int]]:
+    """For each box i, the ascending indices j with rect_distance(i, j) <= eps.
+
+    Each box is filed under every cell it covers of a uniform grid of
+    (k + 3)^2 cells, k = ceil(sqrt(n)). Box i is tested only against the
+    later boxes filed under the cells within reach of its own, and a match
+    is recorded on both sides (rect_distance is symmetric, and every box is
+    its own neighbour). Small boxes with m neighbours each so cost about
+    n * m / 2 distance tests instead of n^2; the worst case, every box
+    covering every cell, tests every pair once.
+    """
+    k = math.isqrt(len(boxes) - 1) + 1
+    # Ends are summed as rect_distance sums them, so both see the same edges.
+    x_covers, x_scans = _axis_cells(
+        [b.left for b in boxes], [b.left + b.width for b in boxes], eps, k
+    )
+    y_covers, y_scans = _axis_cells(
+        [b.top for b in boxes], [b.top + b.height for b in boxes], eps, k
+    )
+    stride = k + 3
+    cells: list[list[int]] = [[] for _ in range(stride * stride)]
+    for j, (columns, rows) in enumerate(zip(x_covers, y_covers)):
+        for cx in columns:
+            for cy in rows:
+                cells[cx * stride + cy].append(j)
+
+    neighbors: list[list[int]] = [[] for _ in boxes]
+    for i, box in enumerate(boxes):
+        neighbors[i].append(i)
+        later = {
+            j
+            for cx in x_scans[i]
+            for cy in y_scans[i]
+            for j in cells[cx * stride + cy]
+            if j > i
+        }
+        for j in sorted(later):
+            if rect_distance(box, boxes[j]) <= eps:
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+    return neighbors
+
+
 def dbscan_cluster(
     objects: Sequence[ScreenObject], eps: float, min_pts: int = 1
 ) -> list[Cluster]:
@@ -57,25 +139,29 @@ def dbscan_cluster(
     in discovery order; noise objects, if any, are returned last under the
     reserved id NOISE_CLUSTER_ID. A point's eps-neighborhood includes itself,
     so min_pts=1 makes every point a core point.
+
+    Region queries are answered from a uniform spatial grid (see
+    _neighbor_lists) and are exact: the same neighbours, in the same order,
+    as a scan over all objects, so the same clusters. For n objects with
+    about m neighbours each they cost O(n * m) rather than the scan's
+    O(n^2); O(n^2) remains the worst case, when every box spans the scene.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
+    if not objects:
+        return []
 
     n = len(objects)
     labels: list[int | None] = [None] * n
-
-    def region(i: int) -> list[int]:
-        return [
-            j for j in range(n) if rect_distance(objects[i].box, objects[j].box) <= eps
-        ]
+    neighborhoods = _neighbor_lists([obj.box for obj in objects], eps)
 
     cluster_id = 0
     for i in range(n):
         if labels[i] is not None:
             continue
-        neighbors = region(i)
+        neighbors = neighborhoods[i]
         if len(neighbors) < min_pts:
             labels[i] = NOISE_CLUSTER_ID
             continue
@@ -89,18 +175,18 @@ def dbscan_cluster(
             if labels[j] is not None:
                 continue
             labels[j] = cluster_id
-            expansion = region(j)
+            expansion = neighborhoods[j]
             if len(expansion) >= min_pts:
                 seeds.extend(expansion)
         cluster_id += 1
 
-    clusters = [
-        Cluster(cid, tuple(objects[i] for i in range(n) if labels[i] == cid))
-        for cid in range(cluster_id)
-    ]
-    noise = tuple(objects[i] for i in range(n) if labels[i] == NOISE_CLUSTER_ID)
-    if noise:
-        clusters.append(Cluster(NOISE_CLUSTER_ID, noise))
+    # members[c] for cluster c; members[-1], so members[NOISE_CLUSTER_ID], is noise.
+    members: list[list[ScreenObject]] = [[] for _ in range(cluster_id + 1)]
+    for obj, label in zip(objects, labels):
+        members[label].append(obj)
+    clusters = [Cluster(cid, tuple(group)) for cid, group in enumerate(members[:-1])]
+    if members[-1]:
+        clusters.append(Cluster(NOISE_CLUSTER_ID, tuple(members[-1])))
     return clusters
 
 

@@ -185,7 +185,7 @@ class AccuracyReport:
 
     @property
     def accuracy(self) -> float:
-        return self.correct / self.total if self.total else 0.0
+        return KindStats(self.total, self.correct).accuracy
 
     def kind_stats(self, kind: str) -> KindStats:
         return dict(self.per_kind).get(kind, KindStats())

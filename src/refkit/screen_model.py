@@ -157,14 +157,30 @@ def median_height(objects: Iterable) -> float:
 
 # --- JSONL dataset codec ---------------------------------------------------
 
+def _expect(value: object, kind: type, field: str):
+    """value itself when it has JSON type kind (str or list), else ValueError."""
+    if type(value) is not kind:
+        article = "a string" if kind is str else "an array"
+        raise ValueError(f"{field} must be {article}, got {value!r}")
+    return value
+
+
 def _box_to_json(box: BBox) -> list[float]:
     return [box.left, box.top, box.width, box.height]
 
 
+# What JSON numbers decode to; bool, though a subclass of int, is not one.
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
 def _box_from_json(value: object) -> BBox:
-    if not isinstance(value, (list, tuple)) or len(value) != 4:
-        raise ValueError(f"box must be a 4-element array, got {value!r}")
-    return BBox(*(float(v) for v in value))
+    if (
+        type(value) is not list
+        or len(value) != 4
+        or not _JSON_NUMBER_TYPES.issuperset(map(type, value))
+    ):
+        raise ValueError(f"box must be an array of 4 numbers, got {value!r}")
+    return BBox(*map(float, value))
 
 
 def _object_to_json(obj: ScreenObject) -> dict:
@@ -174,7 +190,10 @@ def _object_to_json(obj: ScreenObject) -> dict:
 def _object_from_json(value: object) -> ScreenObject:
     if not isinstance(value, dict):
         raise ValueError(f"screen object must be an object, got {value!r}")
-    return ScreenObject(text=value["text"], box=_box_from_json(value["box"]))
+    return ScreenObject(
+        text=_expect(value["text"], str, "screen object text"),
+        box=_box_from_json(value["box"]),
+    )
 
 
 def _entity_to_json(entity: Entity) -> dict:
@@ -197,17 +216,29 @@ def _entity_from_json(value: object) -> Entity:
     if "box" in value:
         placement = Placement(
             box=_box_from_json(value["box"]),
-            surrounding=tuple(_object_from_json(o) for o in value.get("surrounding", [])),
+            surrounding=tuple(
+                _object_from_json(o)
+                for o in _expect(value.get("surrounding", []), list, "surrounding")
+            ),
         )
     properties = value.get("properties", [])
-    if not isinstance(properties, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 for pair in properties
-    ):
-        raise ValueError(f"properties must be [key, value] pairs, got {properties!r}")
+    for pair in _expect(properties, list, "properties"):
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not str
+            or type(pair[1]) is not str
+        ):
+            raise ValueError(
+                f"properties must be [key, value] pairs of strings, got {properties!r}"
+            )
+    display_text = value.get("display_text")
+    if display_text is not None:
+        _expect(display_text, str, "display_text")
     return Entity(
-        entity_type=value["type"],
+        entity_type=_expect(value["type"], str, "entity type"),
         properties=tuple(properties),
-        display_text=value.get("display_text"),
+        display_text=display_text,
         placement=placement,
     )
 
@@ -237,10 +268,12 @@ def datapoint_from_record(record: object) -> DataPoint:
         raise ValueError("ground_truth must be an array of integers")
     screen = None
     if "screen" in record:
-        screen = tuple(_object_from_json(o) for o in record["screen"])
+        screen = tuple(_object_from_json(o) for o in _expect(record["screen"], list, "screen"))
     return DataPoint(
-        request=record["request"],
-        entities=tuple(_entity_from_json(e) for e in record["entities"]),
+        request=_expect(record["request"], str, "request"),
+        entities=tuple(
+            _entity_from_json(e) for e in _expect(record["entities"], list, "entities")
+        ),
         ground_truth=frozenset(ground_truth),
         kind=record["kind"],
         screen=screen,

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import refkit.cluster_encoder as cluster_encoder
 
 from refkit import (
     BBox,
@@ -57,6 +59,19 @@ def random_scene(rng: random.Random, n: int) -> list[ScreenObject]:
         )
         for i in range(n)
     ]
+
+
+def text_grid(n: int, columns: int = 40) -> list[ScreenObject]:
+    """Rows of 40x10 words, 10 units apart across and 5 down: a dense text screen."""
+    return [
+        ScreenObject(f"w{i}", BBox((i % columns) * 50.0, (i // columns) * 15.0, 40.0, 10.0))
+        for i in range(n)
+    ]
+
+
+def cluster_labels(objects, clusters):
+    label_of = {id(member): cluster.id for cluster in clusters for member in cluster.members}
+    return [label_of[id(obj)] for obj in objects]
 
 
 def reference_dbscan(objects, eps, min_pts):
@@ -132,6 +147,68 @@ class TestRectDistance:
                 )
 
 
+def _scene(boxes, eps):
+    return [ScreenObject(f"o{i}", box) for i, box in enumerate(boxes)], eps
+
+
+# Integer corners and sizes with an integer eps put many gaps exactly on eps.
+integer_scenes = st.builds(
+    _scene,
+    st.lists(
+        st.builds(
+            BBox,
+            st.integers(0, 30),
+            st.integers(0, 30),
+            st.integers(0, 6),
+            st.integers(0, 6),
+        ),
+        max_size=25,
+    ),
+    st.integers(1, 6).map(float),
+)
+# Zero-size boxes and eps anywhere from tiny to larger than the scene.
+float_scenes = st.builds(
+    _scene,
+    st.lists(
+        st.builds(BBox, coords, coords, st.just(0.0) | sizes, st.just(0.0) | sizes),
+        max_size=25,
+    ),
+    st.sampled_from([1e-9, 1e-3]) | st.floats(0.5, 2000),
+)
+# Corners and sizes near the ends of the float range, with tiny or huge eps.
+huge = st.sampled_from([0.0, 1e300, -1e300, 5e299, -5e299, 1.7e308, -1.7e308])
+huge_scenes = st.builds(
+    _scene,
+    st.lists(
+        st.builds(
+            BBox,
+            huge | st.floats(-1e300, 1e300),
+            huge | st.floats(-1e300, 1e300),
+            st.sampled_from([0.0, 1.0, 1e299, 1e300, 1.7e308]),
+            st.sampled_from([0.0, 1.0, 1e299, 1e300, 1.7e308]),
+        ),
+        max_size=15,
+    ),
+    st.sampled_from([1e-6, 1.0, 1e299, 1e300, 1.7e308, math.inf]),
+)
+
+
+@st.composite
+def scenes(draw):
+    """A scene of any family above, sometimes with one box spanning all of it."""
+    objects, eps = draw(st.one_of(integer_scenes, float_scenes, huge_scenes))
+    if objects and draw(st.booleans()):
+        left = min(o.box.left for o in objects)
+        top = min(o.box.top for o in objects)
+        right = max(o.box.left + o.box.width for o in objects)
+        bottom = max(o.box.top + o.box.height for o in objects)
+        width = min(right - left, 1.7e308)
+        height = min(bottom - top, 1.7e308)
+        background = ScreenObject("background", BBox(left, top, width, height))
+        objects.insert(draw(st.integers(0, len(objects))), background)
+    return objects, eps
+
+
 class TestDbscan:
     def test_two_separated_groups(self):
         group_a = [ScreenObject(f"a{i}", BBox(i * 5, 0, 4, 4)) for i in range(3)]
@@ -164,12 +241,65 @@ class TestDbscan:
             eps = rng.uniform(5, 60)
             min_pts = rng.randint(1, 4)
             clusters = dbscan_cluster(objects, eps, min_pts)
-            expected = reference_dbscan(objects, eps, min_pts)
-            actual = {}
-            for cluster in clusters:
-                for member in cluster.members:
-                    actual[objects.index(member)] = cluster.id
-            assert [actual[i] for i in range(len(objects))] == expected
+            assert cluster_labels(objects, clusters) == reference_dbscan(objects, eps, min_pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenes(), st.integers(1, 4))
+    def test_grid_matches_reference_on_edge_scenes(self, scene, min_pts):
+        objects, eps = scene
+        clusters = dbscan_cluster(objects, eps, min_pts)
+        assert cluster_labels(objects, clusters) == reference_dbscan(objects, eps, min_pts)
+
+    @pytest.mark.parametrize(
+        "origin, left, width, next_left, eps",
+        [
+            (-4.0, -0.291, 1.0, 1.309, 0.6),
+            (-5.8, -0.9, 0.484, -0.08266666666666672, 1 / 3),
+            (-3.98, -1.288, 1.552, 0.964, 0.7),
+        ],
+    )
+    def test_gap_of_exactly_eps_on_a_cell_edge(self, origin, left, width, next_left, eps):
+        # The gap rounds to eps or just below, while the cell positions of the
+        # two facing edges round to either side of a cell boundary.
+        objects = [
+            ScreenObject("origin", BBox(origin, 0, 0, 0)),
+            ScreenObject("a", BBox(left, 0, width, 0)),
+            ScreenObject("b", BBox(next_left, 0, 0, 0)),
+        ]
+        assert rect_distance(objects[1].box, objects[2].box) <= eps
+        clusters = dbscan_cluster(objects, eps, min_pts=2)
+        assert cluster_labels(objects, clusters) == reference_dbscan(objects, eps, 2)
+
+    def test_extreme_magnitudes(self):
+        top = 1.7976931348623157e308
+        objects = [
+            ScreenObject("far-left", BBox(-top, -top, 0, 0)),
+            ScreenObject("widest", BBox(-top, 0, top, top)),
+            ScreenObject("far-right", BBox(top, top, top, 0)),
+            ScreenObject("origin", BBox(0, 0, 1, 1)),
+            ScreenObject("near-origin", BBox(1.5, 0, 1, 1)),
+        ]
+        for eps in (5e-324, 1e-6, 1.0, 1e300, top, math.inf):
+            for min_pts in (1, 2, 3):
+                clusters = dbscan_cluster(objects, eps, min_pts)
+                assert cluster_labels(objects, clusters) == reference_dbscan(
+                    objects, eps, min_pts
+                )
+
+    def test_distance_tests_grow_linearly(self, monkeypatch):
+        calls = 0
+        exact = cluster_encoder.rect_distance
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return exact(a, b)
+
+        monkeypatch.setattr(cluster_encoder, "rect_distance", counting)
+        objects = text_grid(2000)
+        clusters = dbscan_cluster(objects, eps=10, min_pts=1)
+        assert [len(c.members) for c in clusters] == [2000]
+        assert calls < 50 * len(objects)  # a scan over all objects makes n^2
 
     def test_partition_invariant_under_permutation(self):
         # min_pts=1 has no border ambiguity: clusters are the connected
@@ -196,6 +326,8 @@ class TestDbscan:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             dbscan_cluster([], eps=0)
+        with pytest.raises(ValueError):
+            dbscan_cluster([], eps=math.nan)
         with pytest.raises(ValueError):
             dbscan_cluster([], eps=1, min_pts=0)
 

@@ -253,6 +253,59 @@ class TestDatasetCodec:
         with pytest.raises(DatasetError, match="line 2: .*properties"):
             parse_dataset(good + "\n" + json.dumps(record))
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("request",), 5, "request must be a string"),
+            (("entities",), 5, "entities must be an array"),
+            (("screen",), 5, "screen must be an array"),
+            (("entities", 0, "type"), 5, "entity type must be a string"),
+            (("entities", 0, "properties", 0), ["value", None], "properties"),
+            (("entities", 0, "properties", 0), [1, "x"], "properties"),
+            (("entities", 0, "display_text"), [1], "display_text must be a string"),
+            (("entities", 0, "box"), ["1", True, 2, 3], "box must be"),
+            (("entities", 0, "box"), [0, True, 2, 3], "box must be"),
+            (("entities", 0, "box"), [0, None, 2, 3], "box must be"),
+            (("entities", 0, "surrounding"), {"text": "a"}, "surrounding must be an array"),
+            (("entities", 0, "surrounding", 0, "text"), None, "text must be a string"),
+            (("screen", 0, "text"), 7, "text must be a string"),
+            (("screen", 0, "box", 3), "3", "box must be"),
+        ],
+        ids=[
+            "request", "entities", "screen", "type", "null-value", "int-key",
+            "display-text", "string-coord", "bool-coord", "null-coord",
+            "surrounding", "surrounding-text", "screen-text", "screen-string-coord",
+        ],
+    )
+    def test_wrong_json_types_rejected(self, path, value, message):
+        # Each of these used to be coerced (5 -> "5", null -> "None",
+        # "1" -> 1.0, true -> 1.0) or to fail with a Python type error.
+        def record():
+            return {
+                "request": "open it",
+                "kind": "onscreen",
+                "entities": [
+                    {
+                        "type": "url",
+                        "properties": [["value", "a.example"]],
+                        "display_text": "a.example",
+                        "box": [0, 0, 10, 2],
+                        "surrounding": [{"text": "visit", "box": [0, 3, 5, 2]}],
+                    }
+                ],
+                "screen": [{"text": "a.example", "box": [0, 0, 10, 2]}],
+                "ground_truth": [1],
+            }
+
+        bad = record()
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        lines = json.dumps(record()) + "\n" + json.dumps(bad)
+        with pytest.raises(DatasetError, match=f"line 2: .*{message}"):
+            parse_dataset(lines)
+
     def test_bool_ground_truth_rejected(self):
         record = {
             "request": "x",
