@@ -13,17 +13,23 @@ spatial grid. The grid is exact: every neighbourhood, and so every cluster
 and encoding, is identical to what a scan over all objects gives. A scene of
 n objects with about m neighbours each costs about O(n * m) distance tests;
 the worst case, boxes that all span the scene, stays the scan's O(n^2).
+
+encode_clusters builds that neighbourhood graph once per scene and eps
+value, not once per entity, and labels each entity's own object set over
+the graph restricted to it. The graph does not depend on the order of the
+objects; only the order DBSCAN visits them in does, and that stays each
+entity's own. So the result is exact: the same as clustering each entity's
+objects on their own.
 """
 from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 from .screen_model import (
-    BBox, Entity, ScreenObject, bbox_center, median_height, unique_objects
+    BBox, Entity, ScreenObject, bbox_center, median_height
 )
 
 NOISE_CLUSTER_ID = -1
@@ -49,9 +55,17 @@ class ClusterEncoding:
 
 def rect_distance(a: BBox, b: BBox) -> float:
     """Minimum edge-to-edge Euclidean distance; 0 when boxes overlap or touch."""
-    gap_x = max(a.left - (b.left + b.width), b.left - (a.left + a.width), 0.0)
-    gap_y = max(a.top - (b.top + b.height), b.top - (a.top + a.height), 0.0)
-    return math.hypot(gap_x, gap_y)
+    # Comparisons rather than max(), which costs more than the rest of the
+    # function; every tested pair of boxes comes through here.
+    gap_x = a.left - (b.left + b.width)
+    other = b.left - (a.left + a.width)
+    if other > gap_x:
+        gap_x = other
+    gap_y = a.top - (b.top + b.height)
+    other = b.top - (a.top + a.height)
+    if other > gap_y:
+        gap_y = other
+    return math.hypot(gap_x if gap_x > 0.0 else 0.0, gap_y if gap_y > 0.0 else 0.0)
 
 
 # Extra reach of a query, in cells, beyond eps: far above the rounding error
@@ -129,55 +143,44 @@ def _neighbor_lists(boxes: Sequence[BBox], eps: float) -> list[list[int]]:
     return neighbors
 
 
-def dbscan_cluster(
-    objects: Sequence[ScreenObject], eps: float, min_pts: int = 1
-) -> list[Cluster]:
-    """Density-based clustering under rect_distance.
-
-    Core points are expanded breadth-first in input order, so the result is
-    deterministic for a given input sequence. Real clusters get ids 0..k-1
-    in discovery order; noise objects, if any, are returned last under the
-    reserved id NOISE_CLUSTER_ID. A point's eps-neighborhood includes itself,
-    so min_pts=1 makes every point a core point.
-
-    Region queries are answered from a uniform spatial grid (see
-    _neighbor_lists) and are exact: the same neighbours, in the same order,
-    as a scan over all objects, so the same clusters. For n objects with
-    about m neighbours each they cost O(n * m) rather than the scan's
-    O(n^2); O(n^2) remains the worst case, when every box spans the scene.
-    """
+def _check_parameters(eps: float, min_pts: int) -> None:
     if not eps > 0:
         raise ValueError("eps must be > 0")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    if not objects:
-        return []
 
-    n = len(objects)
-    labels: list[int | None] = [None] * n
-    neighborhoods = _neighbor_lists([obj.box for obj in objects], eps)
 
+def _label_clusters(
+    objects: Sequence[ScreenObject], neighborhoods: Sequence[Sequence[int]], min_pts: int
+) -> list[Cluster]:
+    """DBSCAN labelling of objects over their eps-neighbourhood graph.
+
+    neighborhoods[i] holds the indices of the objects within eps of object i,
+    itself included, in any order. Unlabelled points start a cluster in
+    input order, which alone fixes cluster ids, which cluster claims a
+    border point, and member order: an expansion claims every unclaimed
+    point density-reachable from its start, whatever order it reaches
+    them in.
+    """
+    labels: list[int | None] = [None] * len(objects)
     cluster_id = 0
-    for i in range(n):
+    for i, neighbors in enumerate(neighborhoods):
         if labels[i] is not None:
             continue
-        neighbors = neighborhoods[i]
         if len(neighbors) < min_pts:
             labels[i] = NOISE_CLUSTER_ID
             continue
         labels[i] = cluster_id
-        seeds = deque(neighbors)
-        while seeds:
-            j = seeds.popleft()
-            if labels[j] == NOISE_CLUSTER_ID:
-                labels[j] = cluster_id  # noise reachable from a core point -> border
-                continue
-            if labels[j] is not None:
-                continue
-            labels[j] = cluster_id
-            expansion = neighborhoods[j]
-            if len(expansion) >= min_pts:
-                seeds.extend(expansion)
+        cores = [i]  # claimed core points whose neighbours are still unclaimed
+        while cores:
+            for j in neighborhoods[cores.pop()]:
+                label = labels[j]
+                if label is None:
+                    labels[j] = cluster_id
+                    if len(neighborhoods[j]) >= min_pts:
+                        cores.append(j)
+                elif label == NOISE_CLUSTER_ID:
+                    labels[j] = cluster_id  # noise reachable from a core point -> border
         cluster_id += 1
 
     # members[c] for cluster c; members[-1], so members[NOISE_CLUSTER_ID], is noise.
@@ -188,6 +191,30 @@ def dbscan_cluster(
     if members[-1]:
         clusters.append(Cluster(NOISE_CLUSTER_ID, tuple(members[-1])))
     return clusters
+
+
+def dbscan_cluster(
+    objects: Sequence[ScreenObject], eps: float, min_pts: int = 1
+) -> list[Cluster]:
+    """Density-based clustering under rect_distance.
+
+    Clusters are grown from core points in input order, so the result is
+    deterministic for a given input sequence. Real clusters get ids 0..k-1
+    in discovery order; noise objects, if any, are returned last under the
+    reserved id NOISE_CLUSTER_ID. A point's eps-neighborhood includes itself,
+    so min_pts=1 makes every point a core point.
+
+    Region queries are answered from a uniform spatial grid (see
+    _neighbor_lists) and are exact: the same neighbours as a scan over all
+    objects, so the same clusters. For n objects with about m neighbours
+    each they cost O(n * m) rather than the scan's O(n^2); O(n^2) remains
+    the worst case, when every box spans the scene.
+    """
+    _check_parameters(eps, min_pts)
+    if not objects:
+        return []
+    neighborhoods = _neighbor_lists([obj.box for obj in objects], eps)
+    return _label_clusters(objects, neighborhoods, min_pts)
 
 
 def assign_entity_cluster(entity: Entity, clusters: Sequence[Cluster]) -> Cluster | None:
@@ -261,16 +288,68 @@ def encode_clusters(
 
     The object set per entity is the union of its own surrounding list and
     the shared screen list, deduplicated by (text, box). eps=None derives
-    the threshold from the scene (median object height).
+    the threshold from the entity's object set (median object height).
+
+    The eps-neighbourhood graph is built once per scene and eps value, over
+    the union of the object sets that use it, and each entity's objects are
+    labelled over that graph restricted to them, in the entity's own order.
+    A neighbourhood restricted to a subset is the subset's own
+    neighbourhood, so every encoding is exactly what dbscan_cluster over
+    the entity's own object set gives.
     """
-    encodings = []
+    # The scene's distinct objects, each numbered once; equal objects share a number.
+    table: list[ScreenObject] = []
+    numbers: dict[ScreenObject, int] = {}
+
+    def numbered(objects: Sequence[ScreenObject]) -> list[int]:
+        found = []
+        for obj in objects:
+            number = numbers.get(obj)
+            if number is None:
+                number = numbers[obj] = len(table)
+                table.append(obj)
+            found.append(number)
+        return found
+
+    screen_numbers = numbered(screen)
+    # Per entity: its objects as unique_objects(surrounding, screen) orders them, and eps.
+    object_sets: list[tuple[list[int], float | None]] = []
     for index, entity in enumerate(entities, 1):
         if entity.placement is None:
             raise ValueError(f"entity {index} has no placement")
-        objects = unique_objects(entity.placement.surrounding, screen)
+        own = list(dict.fromkeys(numbered(entity.placement.surrounding) + screen_numbers))
+        entity_eps = eps
+        if own:
+            if eps is None:
+                entity_eps = median_height(table[n] for n in own) or 1.0
+            _check_parameters(entity_eps, min_pts)
+        object_sets.append((own, entity_eps))
+
+    # Per eps, one graph over the union of the object sets that use it.
+    unions: dict[float, set[int]] = {}
+    for own, entity_eps in object_sets:
+        if own:
+            unions.setdefault(entity_eps, set()).update(own)
+    graphs: dict[float, dict[int, list[int]]] = {}
+    for graph_eps, union in unions.items():
+        members = list(union)
+        near = _neighbor_lists([table[n].box for n in members], graph_eps)
+        graphs[graph_eps] = {
+            n: [members[j] for j in around] for n, around in zip(members, near)
+        }
+
+    encodings = []
+    for index, (entity, (own, entity_eps)) in enumerate(zip(entities, object_sets), 1):
         clusters: list[Cluster] = []
-        if objects:
-            scene_eps = (median_height(objects) or 1.0) if eps is None else eps
-            clusters = dbscan_cluster(objects, scene_eps, min_pts)
+        if own:
+            graph = graphs[entity_eps]
+            # Restrict the graph to the entity's objects, numbered in its own order.
+            position = [-1] * len(table)
+            for local, n in enumerate(own):
+                position[n] = local
+            neighborhoods = [
+                [p for p in map(position.__getitem__, graph[n]) if p >= 0] for n in own
+            ]
+            clusters = _label_clusters([table[n] for n in own], neighborhoods, min_pts)
         encodings.append(build_cluster_encoding(index, entity, clusters))
     return encodings

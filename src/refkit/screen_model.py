@@ -14,8 +14,6 @@ from typing import IO, Iterable, NamedTuple
 
 KINDS = ("conversational", "synthetic", "onscreen")
 
-_RESERVED_CHARS = ("\n", "\t")
-
 
 class DatasetError(ValueError):
     """Raised when a dataset stream cannot be parsed or validated."""
@@ -36,10 +34,17 @@ class BBox:
     height: float
 
     def __post_init__(self) -> None:
-        for name in ("left", "top", "width", "height"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"BBox.{name} must be finite, got {value!r}")
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.left)
+            and isfinite(self.top)
+            and isfinite(self.width)
+            and isfinite(self.height)
+        ):
+            for name in ("left", "top", "width", "height"):
+                value = getattr(self, name)
+                if not isfinite(value):
+                    raise ValueError(f"BBox.{name} must be finite, got {value!r}")
         if self.width < 0 or self.height < 0:
             raise ValueError("BBox width and height must be non-negative")
 
@@ -55,17 +60,23 @@ class ScreenObject:
 
     Newlines and tabs are rejected rather than escaped: they are the layout
     separators of the rendered parse, and allowing them would make the
-    output ambiguous.
+    output ambiguous. So are the `{{` and `}}` that delimit entity markers,
+    which would let screen text pass for a numbered option.
     """
 
     text: str
     box: BBox
 
     def __post_init__(self) -> None:
-        if not self.text:
+        text = self.text
+        if not text:
             raise ValueError("ScreenObject.text must be non-empty")
-        if any(ch in self.text for ch in _RESERVED_CHARS):
+        if "\n" in text or "\t" in text:
             raise ValueError("ScreenObject.text must not contain newline or tab")
+        if "{{" in text or "}}" in text:
+            raise ValueError(
+                f"ScreenObject.text must not contain a marker delimiter, got {text!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -104,10 +115,14 @@ class Entity:
             raise ValueError("Entity property keys must be unique")
         if self.placement is not None and self.display_text is None:
             raise ValueError("an entity with a placement requires display_text")
-        if self.display_text is not None and any(
-            ch in self.display_text for ch in _RESERVED_CHARS
-        ):
-            raise ValueError("Entity.display_text must not contain newline or tab")
+        text = self.display_text
+        if text is not None:
+            if "\n" in text or "\t" in text:
+                raise ValueError("Entity.display_text must not contain newline or tab")
+            if "{{" in text or "}}" in text:
+                raise ValueError(
+                    f"Entity.display_text must not contain a marker delimiter, got {text!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -116,7 +131,8 @@ class DataPoint:
 
     ground_truth holds 1-based positions into `entities`; empty means no
     entity is relevant. `screen` carries the full-screen text objects for
-    on-screen datapoints.
+    on-screen datapoints. The request is one line of the prompt, so line
+    breaks in it are rejected: they could forge the lines that follow it.
     """
 
     request: str
@@ -130,6 +146,10 @@ class DataPoint:
         object.__setattr__(self, "ground_truth", frozenset(self.ground_truth))
         if self.screen is not None:
             object.__setattr__(self, "screen", tuple(self.screen))
+        if "\n" in self.request or "\r" in self.request:
+            raise ValueError(
+                f"DataPoint.request must not contain a line break, got {self.request!r}"
+            )
         if self.kind not in KINDS:
             raise ValueError(f"unknown datapoint kind {self.kind!r}")
         n = len(self.entities)

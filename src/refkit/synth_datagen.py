@@ -128,7 +128,9 @@ def generate_datapoints(
     per_query_negatives entities sampled without replacement from the pool;
     the combined list is shuffled and ground_truth set to the positives'
     positions. Deterministic for a fixed seed. max_samples caps the expansion
-    with a uniform seeded subsample that preserves expansion order.
+    with a uniform seeded subsample that preserves expansion order. A query
+    that DataPoint rejects, such as one holding a line break, raises
+    TemplateError naming the template.
     """
     gt_types = {t.lower() for t in slots.ground_truth_types}
     pool = list(negative_pool)
@@ -158,14 +160,16 @@ def generate_datapoints(
             for position, entity in enumerate(entities, 1)
             if entity.entity_type.lower() in gt_types
         )
-        datapoints.append(
-            DataPoint(
+        try:
+            datapoint = DataPoint(
                 request=query,
                 entities=tuple(entities),
                 ground_truth=ground_truth,
                 kind="synthetic",
             )
-        )
+        except ValueError as exc:
+            raise TemplateError(f"template {template.id!r}: {exc}") from exc
+        datapoints.append(datapoint)
     return datapoints
 
 

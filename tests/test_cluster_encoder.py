@@ -1,8 +1,9 @@
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refkit.cluster_encoder as cluster_encoder
@@ -20,6 +21,7 @@ from refkit import (
     rect_distance,
 )
 from refkit.cluster_encoder import NOISE_CLUSTER_ID, has_token_overlap
+from refkit.screen_model import median_height, unique_objects
 
 from conftest import branches_datapoint
 
@@ -376,7 +378,116 @@ class TestAssign:
             assert chosen.id == best[1]
 
 
+def per_entity_encodings(screen, entities, eps=None, min_pts=1):
+    """Reference: cluster each entity's own object set on its own."""
+    encodings = []
+    for index, entity in enumerate(entities, 1):
+        if entity.placement is None:
+            raise ValueError(f"entity {index} has no placement")
+        objects = unique_objects(entity.placement.surrounding, screen)
+        clusters = []
+        if objects:
+            entity_eps = (median_height(objects) or 1.0) if eps is None else eps
+            clusters = dbscan_cluster(objects, entity_eps, min_pts)
+        encodings.append(build_cluster_encoding(index, entity, clusters))
+    return encodings
+
+
+# Few words and integer boxes, so objects repeat, touch and share tokens.
+words = st.sampled_from(["north", "south", "east", "north east", "west side"])
+small_boxes = st.builds(
+    BBox,
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.integers(0, 8),
+    st.sampled_from([0, 2, 5, 11]),
+)
+screen_objects = st.builds(ScreenObject, words, small_boxes)
+
+
+@st.composite
+def cluster_scenes(draw):
+    """A screen (maybe empty) and entities whose surroundings are shuffled
+    subsets of it, private off-screen objects, or both; now and then an
+    entity without a placement."""
+    screen = draw(st.lists(screen_objects, max_size=20))
+    entities = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 19)) == 0:
+            entities.append(Entity("general text", ()))
+            continue
+        shared = draw(st.lists(st.sampled_from(screen), unique_by=id)) if screen else []
+        private = draw(st.lists(screen_objects, max_size=4))
+        surrounding = draw(st.permutations(shared + private))
+        placement = Placement(draw(small_boxes), tuple(surrounding))
+        entities.append(Entity("general text", (), draw(words), placement))
+    return screen, entities
+
+
+def assert_matches_per_entity_clustering(screen, entities, eps, min_pts):
+    try:
+        expected = per_entity_encodings(screen, entities, eps, min_pts)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            encode_clusters(screen, entities, eps, min_pts)
+    else:
+        assert encode_clusters(screen, entities, eps, min_pts) == expected
+
+
 class TestEncoding:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cluster_scenes(),
+        st.none() | st.sampled_from([0.5, 3.0, 7.0]) | st.floats(0.1, 40),
+        st.integers(1, 4),
+    )
+    def test_shared_graph_matches_per_entity_clustering(self, scene, eps, min_pts):
+        assert_matches_per_entity_clustering(*scene, eps, min_pts)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cluster_scenes(), st.sampled_from([(0.0, 1), (math.nan, 2), (3.0, 0), (None, 0)]))
+    # Bad parameters raise nothing while no entity has an object to cluster.
+    @example(([], [place_entity("x", BBox(0, 0, 1, 1))]), (math.nan, 1))
+    @example(([], [place_entity("x", BBox(0, 0, 1, 1))]), (None, 0))
+    def test_bad_parameters_fail_as_per_entity_clustering(self, scene, parameters):
+        assert_matches_per_entity_clustering(*scene, *parameters)
+
+    def test_one_graph_per_scene(self, monkeypatch):
+        tests = 0
+        builds = []
+        exact_distance = cluster_encoder.rect_distance
+        exact_graph = cluster_encoder._neighbor_lists
+
+        def counting_distance(a, b):
+            nonlocal tests
+            tests += 1
+            return exact_distance(a, b)
+
+        def counting_graph(boxes, eps):
+            before = tests
+            neighbors = exact_graph(boxes, eps)
+            builds.append((len(boxes), tests - before))
+            return neighbors
+
+        monkeypatch.setattr(cluster_encoder, "rect_distance", counting_distance)
+        monkeypatch.setattr(cluster_encoder, "_neighbor_lists", counting_graph)
+        screen = text_grid(200)
+        entities = [
+            Entity(
+                "general text",
+                (),
+                f"entity {k}",
+                Placement(screen[7 * k].box, tuple(screen[7 * k + 1 : 7 * k + 4])),
+            )
+            for k in range(10)
+        ]
+        encode_clusters(screen, entities[:1])
+        [(objects, one_entity)] = builds
+        assert objects == 200
+        builds.clear()
+        encode_clusters(screen, entities)
+        assert builds == [(200, one_entity)]  # not one build per entity
+
     def test_branch_fixture_surroundings(self, branches):
         encodings = encode_clusters(branches.screen, branches.entities, eps=15)
         assert encodings[0].surrounding_prompt == ("Queen Anne", "(206) 380 4699")
