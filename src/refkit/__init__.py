@@ -17,6 +17,7 @@ from .cluster_encoder import (
 from .entity_textualizer import (
     FieldSpec,
     RuleConflictError,
+    RuleError,
     RuleRegistry,
     TextualizationRule,
     default_registry,

@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 
 from .cluster_encoder import encode_clusters
-from .entity_textualizer import default_registry, load_rules
+from .entity_textualizer import RuleError, default_registry, load_rules
 from .eval_harness import (
     ConstantResolver,
     EvaluationError,
@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, TemplateError, OSError) as exc:
+    except (DatasetError, TemplateError, RuleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,11 @@ from .screen_model import Entity
 _TYPE_JOIN = " | "
 
 
-class RuleConflictError(ValueError):
+class RuleError(ValueError):
+    """Raised for a malformed rule or rules file."""
+
+
+class RuleConflictError(RuleError):
     """Raised when registering a rule name that already exists."""
 
 
@@ -39,6 +43,14 @@ class FieldSpec:
     key: str
     labeled: bool = False
 
+    def __post_init__(self) -> None:
+        if type(self.key) is not str:
+            raise RuleError(f"field key must be a string, got {self.key!r}")
+        if type(self.labeled) is not bool:
+            raise RuleError(
+                f"field {self.key!r}: labeled must be true or false, got {self.labeled!r}"
+            )
+
 
 @dataclass(frozen=True)
 class TextualizationRule:
@@ -55,8 +67,22 @@ class TextualizationRule:
     field_separator: str = _TYPE_JOIN
 
     def __post_init__(self) -> None:
-        if not self.type_name:
-            raise ValueError("rule type_name must be non-empty")
+        name = self.type_name
+        if type(name) is not str or not name:
+            raise RuleError(f"rule type must be a non-empty string, got {name!r}")
+        if self.alias is not None and type(self.alias) is not str:
+            raise RuleError(f"rule {name!r}: alias must be a string, got {self.alias!r}")
+        if type(self.fields) not in (tuple, list) or not all(
+            type(spec) is FieldSpec for spec in self.fields
+        ):
+            raise RuleError(
+                f"rule {name!r}: fields must be a list of FieldSpec, got {self.fields!r}"
+            )
+        if type(self.field_separator) is not str:
+            raise RuleError(
+                f"rule {name!r}: field_separator must be a string, "
+                f"got {self.field_separator!r}"
+            )
         object.__setattr__(self, "fields", tuple(self.fields))
 
     @property
@@ -173,19 +199,26 @@ def textualize_entity(entity: Entity, registry: RuleRegistry | None = None) -> s
     return (registry or _DEFAULT_REGISTRY).textualize(entity)
 
 
-def _rule_from_mapping(entry: dict) -> TextualizationRule:
+def _rule_from_mapping(entry: object) -> TextualizationRule:
+    if not isinstance(entry, dict):
+        raise RuleError(f"rule entry must be a mapping, got {entry!r}")
     if "type" not in entry:
-        raise ValueError(f"rule entry missing 'type': {entry!r}")
-    fields = []
-    for field in entry.get("fields", []):
+        raise RuleError(f"rule entry missing 'type': {entry!r}")
+    fields = entry.get("fields", [])
+    if type(fields) is not list:
+        raise RuleError(f"fields must be a list, got {fields!r}")
+    specs = []
+    for field in fields:
         if isinstance(field, str):
-            fields.append(FieldSpec(field))
+            specs.append(FieldSpec(field))
+        elif isinstance(field, dict) and "key" in field:
+            specs.append(FieldSpec(field["key"], field.get("labeled", False)))
         else:
-            fields.append(FieldSpec(field["key"], bool(field.get("labeled", False))))
+            raise RuleError(f"field must be a key or a {{key, labeled}} mapping, got {field!r}")
     return TextualizationRule(
         type_name=entry["type"],
         alias=entry.get("alias"),
-        fields=tuple(fields),
+        fields=tuple(specs),
         field_separator=entry.get("field_separator", _TYPE_JOIN),
     )
 
@@ -193,20 +226,29 @@ def _rule_from_mapping(entry: dict) -> TextualizationRule:
 def load_rules(path: str, base: RuleRegistry | None = None) -> RuleRegistry:
     """Build a registry from a YAML rules file.
 
-    The file holds a list of rule entries (or a mapping with a "rules" key),
-    each with: type, alias?, field_separator?, fields? (strings or
-    {key, labeled} mappings). When `base` is given, its rules are copied in
-    first and file entries may override them.
+    The file holds a list of rule entries, a mapping with a "rules" key
+    holding that list, or a single rule entry. Each entry has: type, alias?,
+    field_separator?, fields? (strings or {key, labeled} mappings). Values
+    are not converted: a YAML number or yes/no where a string belongs is an
+    error. When `base` is given, its rules are copied in first and file
+    entries may override them. Every fault raises RuleError naming the file
+    and, where there is one, the 0-based entry.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise RuleError(f"{path}: {exc}") from exc
     if isinstance(data, dict):
-        data = data.get("rules", [])
+        data = data.get("rules", [data])
     if data is None:
         data = []
     if not isinstance(data, list):
-        raise ValueError("rules file must hold a list of rule entries")
+        raise RuleError(f"{path}: rules file must hold a list of rule entries, got {data!r}")
     registry = base.copy() if base is not None else RuleRegistry()
-    for entry in data:
-        registry.register(_rule_from_mapping(entry), overwrite=base is not None)
+    for position, entry in enumerate(data):
+        try:
+            registry.register(_rule_from_mapping(entry), overwrite=base is not None)
+        except RuleError as exc:
+            raise type(exc)(f"{path}: entry {position}: {exc}") from exc
     return registry

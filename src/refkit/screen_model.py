@@ -69,6 +69,8 @@ class ScreenObject:
 
     def __post_init__(self) -> None:
         text = self.text
+        if type(text) is not str:
+            raise ValueError(f"screen object text must be a string, got {text!r}")
         if not text:
             raise ValueError("ScreenObject.text must be non-empty")
         if "\n" in text or "\t" in text:
@@ -105,18 +107,33 @@ class Entity:
     placement: Placement | None = None
 
     def __post_init__(self) -> None:
+        if type(self.entity_type) is not str:
+            raise ValueError(f"entity type must be a string, got {self.entity_type!r}")
         if not self.entity_type:
             raise ValueError("Entity.entity_type must be non-empty")
-        object.__setattr__(
-            self, "properties", tuple((str(k), str(v)) for k, v in self.properties)
-        )
-        keys = [k for k, _ in self.properties]
-        if len(keys) != len(set(keys)):
+        properties = self.properties
+        if type(properties) not in (tuple, list):
+            raise ValueError(f"properties must be an array of pairs, got {properties!r}")
+        for pair in properties:
+            if (
+                type(pair) not in (tuple, list)
+                or len(pair) != 2
+                or type(pair[0]) is not str
+                or type(pair[1]) is not str
+            ):
+                raise ValueError(
+                    f"properties must be [key, value] pairs of strings, got {properties!r}"
+                )
+        properties = tuple(map(tuple, properties))
+        object.__setattr__(self, "properties", properties)
+        if len(dict(properties)) != len(properties):
             raise ValueError("Entity property keys must be unique")
         if self.placement is not None and self.display_text is None:
             raise ValueError("an entity with a placement requires display_text")
         text = self.display_text
         if text is not None:
+            if type(text) is not str:
+                raise ValueError(f"display_text must be a string, got {text!r}")
             if "\n" in text or "\t" in text:
                 raise ValueError("Entity.display_text must not contain newline or tab")
             if "{{" in text or "}}" in text:
@@ -143,9 +160,10 @@ class DataPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "ground_truth", frozenset(self.ground_truth))
         if self.screen is not None:
             object.__setattr__(self, "screen", tuple(self.screen))
+        if type(self.request) is not str:
+            raise ValueError(f"request must be a string, got {self.request!r}")
         if "\n" in self.request or "\r" in self.request:
             raise ValueError(
                 f"DataPoint.request must not contain a line break, got {self.request!r}"
@@ -156,6 +174,7 @@ class DataPoint:
         for index in self.ground_truth:
             if type(index) is not int or not 1 <= index <= n:
                 raise ValueError(f"ground_truth index {index!r} out of range 1..{n}")
+        object.__setattr__(self, "ground_truth", frozenset(self.ground_truth))
         if self.kind == "onscreen":
             for position, entity in enumerate(self.entities, 1):
                 if entity.placement is None:
@@ -177,11 +196,10 @@ def median_height(objects: Iterable) -> float:
 
 # --- JSONL dataset codec ---------------------------------------------------
 
-def _expect(value: object, kind: type, field: str):
-    """value itself when it has JSON type kind (str or list), else ValueError."""
-    if type(value) is not kind:
-        article = "a string" if kind is str else "an array"
-        raise ValueError(f"{field} must be {article}, got {value!r}")
+def _expect(value: object, field: str) -> list:
+    """value itself when it is a JSON array, else ValueError."""
+    if type(value) is not list:
+        raise ValueError(f"{field} must be an array, got {value!r}")
     return value
 
 
@@ -210,10 +228,7 @@ def _object_to_json(obj: ScreenObject) -> dict:
 def _object_from_json(value: object) -> ScreenObject:
     if not isinstance(value, dict):
         raise ValueError(f"screen object must be an object, got {value!r}")
-    return ScreenObject(
-        text=_expect(value["text"], str, "screen object text"),
-        box=_box_from_json(value["box"]),
-    )
+    return ScreenObject(text=value["text"], box=_box_from_json(value["box"]))
 
 
 def _entity_to_json(entity: Entity) -> dict:
@@ -238,27 +253,13 @@ def _entity_from_json(value: object) -> Entity:
             box=_box_from_json(value["box"]),
             surrounding=tuple(
                 _object_from_json(o)
-                for o in _expect(value.get("surrounding", []), list, "surrounding")
+                for o in _expect(value.get("surrounding", []), "surrounding")
             ),
         )
-    properties = value.get("properties", [])
-    for pair in _expect(properties, list, "properties"):
-        if (
-            type(pair) is not list
-            or len(pair) != 2
-            or type(pair[0]) is not str
-            or type(pair[1]) is not str
-        ):
-            raise ValueError(
-                f"properties must be [key, value] pairs of strings, got {properties!r}"
-            )
-    display_text = value.get("display_text")
-    if display_text is not None:
-        _expect(display_text, str, "display_text")
     return Entity(
-        entity_type=_expect(value["type"], str, "entity type"),
-        properties=tuple(properties),
-        display_text=display_text,
+        entity_type=value["type"],
+        properties=value.get("properties", ()),
+        display_text=value.get("display_text"),
         placement=placement,
     )
 
@@ -281,20 +282,15 @@ def datapoint_from_record(record: object) -> DataPoint:
     for key in ("request", "kind", "entities", "ground_truth"):
         if key not in record:
             raise ValueError(f"record missing required field {key!r}")
-    ground_truth = record["ground_truth"]
-    if not isinstance(ground_truth, list) or not all(
-        type(i) is int for i in ground_truth
-    ):
-        raise ValueError("ground_truth must be an array of integers")
     screen = None
     if "screen" in record:
-        screen = tuple(_object_from_json(o) for o in _expect(record["screen"], list, "screen"))
+        screen = tuple(_object_from_json(o) for o in _expect(record["screen"], "screen"))
     return DataPoint(
-        request=_expect(record["request"], str, "request"),
+        request=record["request"],
         entities=tuple(
-            _entity_from_json(e) for e in _expect(record["entities"], list, "entities")
+            _entity_from_json(e) for e in _expect(record["entities"], "entities")
         ),
-        ground_truth=frozenset(ground_truth),
+        ground_truth=_expect(record["ground_truth"], "ground_truth"),
         kind=record["kind"],
         screen=screen,
     )

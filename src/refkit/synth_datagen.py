@@ -27,6 +27,11 @@ class TemplateError(ValueError):
     """Raised for malformed templates or slot lists."""
 
 
+def _is_string_list(value: object) -> bool:
+    """True for a tuple or list of strings; nothing else is converted to one."""
+    return type(value) in (tuple, list) and all(type(item) is str for item in value)
+
+
 @dataclass(frozen=True)
 class LanguageTemplate:
     """Query variations sharing one slot list."""
@@ -35,9 +40,14 @@ class LanguageTemplate:
     variations: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if type(self.id) is not str or not self.id:
+            raise TemplateError(f"template id must be a non-empty string, got {self.id!r}")
+        if not _is_string_list(self.variations):
+            raise TemplateError(
+                f"template {self.id!r}: variations must be a list of strings, "
+                f"got {self.variations!r}"
+            )
         object.__setattr__(self, "variations", tuple(self.variations))
-        if not self.id:
-            raise TemplateError("template id must be non-empty")
         if not self.variations:
             raise TemplateError(f"template {self.id!r} has no variations")
 
@@ -50,15 +60,28 @@ class SlotList:
     ground_truth_types: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.slots, dict):
+            raise TemplateError(f"slots must map names to value lists, got {self.slots!r}")
+        for name, values in self.slots.items():
+            if type(name) is not str:
+                raise TemplateError(f"slot name must be a string, got {name!r}")
+            if not _is_string_list(values):
+                raise TemplateError(
+                    f"slot [{name}] values must be a list of strings, got {values!r}"
+                )
+            if not values:
+                raise TemplateError(f"slot [{name}] has no values")
         object.__setattr__(
             self, "slots", {name: tuple(values) for name, values in self.slots.items()}
         )
+        if not _is_string_list(self.ground_truth_types):
+            raise TemplateError(
+                "ground-truth types must be a list of strings, "
+                f"got {self.ground_truth_types!r}"
+            )
         object.__setattr__(self, "ground_truth_types", tuple(self.ground_truth_types))
         if not self.ground_truth_types:
             raise TemplateError("slot list needs at least one ground-truth type")
-        for name, values in self.slots.items():
-            if not values:
-                raise TemplateError(f"slot [{name}] has no values")
 
 
 def placeholders(variation: str) -> list[str]:
@@ -184,16 +207,8 @@ def _pair_from_mapping(entry: object, fallback_id: str) -> tuple[LanguageTemplat
         gt_types = entry["ground_truth_types"]
     except KeyError as exc:
         raise TemplateError(f"template entry missing section {exc}") from exc
-    if not isinstance(slot_values, dict):
-        raise TemplateError("slots: section must map names to value lists")
-    template = LanguageTemplate(
-        id=str(entry.get("id", fallback_id)),
-        variations=tuple(str(v) for v in variations),
-    )
-    slots = SlotList(
-        slots={str(k): tuple(str(v) for v in vs) for k, vs in slot_values.items()},
-        ground_truth_types=tuple(str(t) for t in gt_types),
-    )
+    template = LanguageTemplate(id=entry.get("id", fallback_id), variations=variations)
+    slots = SlotList(slots=slot_values, ground_truth_types=gt_types)
     # Surface bad placeholders at load time, not mid-generation.
     check_placeholders(template, slots)
     return template, slots
@@ -209,7 +224,7 @@ def load_template_file(path: str | Path) -> list[tuple[LanguageTemplate, SlotLis
     path = Path(path)
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise TemplateError(f"{path}: {exc}") from exc
     entries = data if isinstance(data, list) else [data]
     pairs = []

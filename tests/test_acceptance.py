@@ -232,6 +232,7 @@ def test_criterion_7_report_shape_and_encoder_growth():
         )
     finally:
         server.shutdown()
+        server.server_close()
     table = report.table()
     lines = table.splitlines()
     if len(lines) != 2:

@@ -123,6 +123,18 @@ class TestGenerate:
         assert "forged" in err and "line break" in err
         assert not out.exists()
 
+    def test_string_for_list_diagnosed(self, tmp_path, capsys):
+        # A string where a list belongs used to expand letter by letter.
+        template = tmp_path / "loose.yaml"
+        template.write_text(
+            'variations: ["call him"]\nground_truth_types: "person"\n', encoding="utf-8"
+        )
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--input", str(template), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "loose.yaml: entry 0" in err and "ground-truth types" in err
+        assert not out.exists()
+
 
 class TestPrompt:
     def test_business_list_prompt_with_rules(self, tmp_path):
@@ -139,6 +151,17 @@ class TestPrompt:
         [record] = read_jsonl(out)
         assert "Type: Local Business | Name: Walgreens | Address:" in record["prompt"]
         assert sorted(record["index_map"]) == [1, 2, 3]
+
+    def test_malformed_rules_diagnosed(self, tmp_path, capsys):
+        rules = tmp_path / "bad_rules.yaml"
+        rules.write_text("- type: a\n  fields: [5]\n", encoding="utf-8")
+        out = tmp_path / "prompts.jsonl"
+        code = main(
+            ["prompt", "--input", RAINBOW, "--output", str(out), "--rules", str(rules)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad_rules.yaml: entry 0" in err
 
     def test_onscreen_prompt_contains_parse(self, tmp_path):
         out = tmp_path / "prompts.jsonl"

@@ -4,6 +4,7 @@ from refkit import (
     Entity,
     FieldSpec,
     RuleConflictError,
+    RuleError,
     RuleRegistry,
     TextualizationRule,
     default_registry,
@@ -191,3 +192,63 @@ class TestRulesFile:
         registry = load_rules(str(path))
         entity = Entity("timer", (("duration", "10m"), ("label", "tea")))
         assert registry.textualize(entity) == "Type: Timer | duration: 10m; label: tea"
+
+    def test_single_rule_mapping(self, tmp_path):
+        # A file holding one rule mapping, without a rules: key, is one entry.
+        path = tmp_path / "rules.yaml"
+        path.write_text("type: person\nalias: Human\n", encoding="utf-8")
+        registry = load_rules(str(path), base=default_registry())
+        assert registry.textualize(Entity("person", (("name", "Ana"),))) == "Type: Human"
+
+    def test_duplicate_rule_located(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text("- type: a\n- type: a\n", encoding="utf-8")
+        with pytest.raises(RuleConflictError, match="rules.yaml: entry 1: "):
+            load_rules(str(path))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"- 5\n", "entry 0: .*mapping"),
+            (b"- type: a\n  fields: [5]\n", "entry 0: .*field"),
+            (b"- type: a\n- type: b\n  fields: name\n", "entry 1: .*fields"),
+            (b"- type: a\n  fields: [{key: name, labeled: 'no'}]\n", "entry 0: .*labeled"),
+            (b"- type: a\n  fields: [{labeled: true}]\n", "entry 0: .*key"),
+            (b"- alias: A\n", "entry 0: .*type"),
+            (b"- type: 5\n", "entry 0: .*type"),
+            (b"- type: a\n  alias: 5\n", "entry 0: .*alias"),
+            (b"- type: a\n  field_separator: 5\n", "entry 0: .*field_separator"),
+            (b"rules: 5\n", ".*list of rule entries"),
+            (b"- type: [a\n", ""),
+            (b"- type: \xff\n", ".*utf-8"),
+        ],
+        ids=["entry-int", "field-int", "fields-string", "labeled-string", "field-no-key",
+             "no-type", "type-int", "alias-int", "separator-int", "rules-int",
+             "malformed-yaml", "bad-utf8"],
+    )
+    def test_malformed_rules_located(self, tmp_path, body, message):
+        # These used to escape as AttributeError, TypeError, a yaml error or a
+        # decode error, or to be converted: "name" into four one-letter
+        # fields, "no" into True.
+        path = tmp_path / "rules.yaml"
+        path.write_bytes(body)
+        with pytest.raises(RuleError, match=f"rules.yaml: {message}"):
+            load_rules(str(path), base=default_registry())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FieldSpec(5),
+            lambda: FieldSpec("name", "no"),
+            lambda: TextualizationRule(5),
+            lambda: TextualizationRule("a", alias=5),
+            lambda: TextualizationRule("a", fields="name"),
+            lambda: TextualizationRule("a", fields=("name",)),
+            lambda: TextualizationRule("a", field_separator=None),
+        ],
+        ids=["key", "labeled", "type", "alias", "fields-string", "field-string",
+             "separator"],
+    )
+    def test_rule_field_types_rejected(self, build):
+        with pytest.raises(RuleError):
+            build()

@@ -258,6 +258,7 @@ def http_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/resolve"
     server.shutdown()
+    server.server_close()
 
 
 class TestRemoteResolver:

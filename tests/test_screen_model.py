@@ -89,6 +89,26 @@ class TestInvariants:
         with pytest.raises(ValueError, match="line break"):
             DataPoint(request_text, (entity,))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Entity("person", {"ab": "1"}), "properties"),
+            (lambda: Entity("person", (("k", None),)), "properties"),
+            (lambda: Entity("person", (("k", 5),)), "properties"),
+            (lambda: Entity(5), "entity type must be a string"),
+            (lambda: Entity("p", display_text=5), "display_text must be a string"),
+            (lambda: ScreenObject(5, BBox(0, 0, 1, 1)), "text must be a string"),
+            (lambda: DataPoint(5, ()), "request must be a string"),
+        ],
+        ids=["properties-mapping", "null-value", "int-value", "type", "display-text",
+             "screen-text", "request"],
+    )
+    def test_wrong_field_types_rejected(self, build, message):
+        # The value types check their own fields, with the codec's wording;
+        # nothing is converted with str().
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_entity_duplicate_keys_rejected(self):
         with pytest.raises(ValueError):
             Entity("person", (("name", "A"), ("name", "B")))

@@ -184,6 +184,47 @@ class TestTemplateFiles:
         with pytest.raises(TemplateError, match=r"\[who\]"):
             load_template_file(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'variations: "call [x]"\nslots: {x: ["a"]}\nground_truth_types: ["person"]\n',
+             "entry 0: .*variations"),
+            (b'variations: ["call"]\nground_truth_types: "person"\n',
+             "entry 0: .*ground-truth types"),
+            (b'variations: [5]\nground_truth_types: ["person"]\n', "entry 0: .*variations"),
+            (b'variations: ["call"]\nground_truth_types: [yes]\n',
+             "entry 0: .*ground-truth types"),
+            (b'variations: ["call [x]"]\nslots: {x: [~]}\nground_truth_types: ["person"]\n',
+             r"entry 0: .*slot \[x\]"),
+            (b'variations: ["call [x]"]\nslots: {x: [on]}\nground_truth_types: ["person"]\n',
+             r"entry 0: .*slot \[x\]"),
+            (b'variations: ["call [x]"]\nslots: {x: [1.10]}\nground_truth_types: ["person"]\n',
+             r"entry 0: .*slot \[x\]"),
+            (b'variations: ["call [x]"]\nslots: {x: [010]}\nground_truth_types: ["person"]\n',
+             r"entry 0: .*slot \[x\]"),
+            (b'variations: ["call [x]"]\nslots: {x: "abc"}\nground_truth_types: ["person"]\n',
+             r"entry 0: .*slot \[x\]"),
+            (b'variations: ["call [1]"]\nslots: {1: ["a"]}\nground_truth_types: ["person"]\n',
+             "entry 0: .*slot name"),
+            (b'variations: ["call"]\nslots: ["a"]\nground_truth_types: ["person"]\n',
+             "entry 0: .*slots"),
+            (b'id: ~\nvariations: ["call"]\nground_truth_types: ["person"]\n',
+             "entry 0: .*template id"),
+            (b'variations: ["\xff"]\nground_truth_types: ["person"]\n', ".*utf-8"),
+        ],
+        ids=["variations-string", "types-string", "variation-int", "type-bool",
+             "value-null", "value-bool", "value-float", "value-octal", "values-string",
+             "slot-name-int", "slots-list", "id-null", "bad-utf8"],
+    )
+    def test_non_string_fields_rejected(self, tmp_path, body, message):
+        # Each of these used to be converted: a string iterated into one-letter
+        # entries, ~ into "None", on into "True", 1.10 into "1.1", 010 into "8";
+        # undecodable bytes escaped as a UnicodeDecodeError.
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(body)
+        with pytest.raises(TemplateError, match=f"bad.yaml: {message}"):
+            load_template_file(path)
+
     def test_bundled_templates_load_and_cover_500(self):
         pairs = load_templates(bundled_template_dir())
         assert len(pairs) >= 5
