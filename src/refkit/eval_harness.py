@@ -24,7 +24,8 @@ from .layout_encoder import EncoderConfig
 from .prompt_builder import Prompt, options_to_original, prompt_for_datapoint
 from .screen_model import DataPoint
 
-_INT_RE = re.compile(r"-?\d+")
+# An integer token: its sign, and its digits without leading zeros ("0" for zero).
+_INT_RE = re.compile(r"(-?)0*(\d+)")
 
 _KIND_COLUMNS = (("Conv", "conversational"), ("Synth", "synthetic"), ("Screen", "onscreen"))
 
@@ -55,16 +56,29 @@ def parse_prediction(raw: str, n: int) -> Prediction:
     Duplicates collapse into a set. The prediction is invalid when no integer
     is present, any index is negative or exceeds n, or 0 appears alongside
     other indices. Invalidity is data, not an error.
+
+    A token with more significant digits than n can never name an option.
+    Tokens up to one digit longer than n still enter the set, so near misses
+    such as 10 of 9 options are kept; a longer one makes the prediction
+    invalid without being converted, so a run of thousands of digits costs
+    no int() call (CPython refuses those past 4300 digits).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    indices = frozenset(int(token) for token in _INT_RE.findall(raw))
-    valid = bool(indices)
+    max_digits = len(str(n)) + 1
+    indices = set()
+    too_long = False
+    for sign, digits in _INT_RE.findall(raw):
+        if len(digits) > max_digits:
+            too_long = True
+        else:
+            indices.add(-int(digits) if sign else int(digits))
+    valid = bool(indices) and not too_long
     if any(i < 0 or i > n for i in indices):
         valid = False
     if 0 in indices and len(indices) > 1:
         valid = False
-    return Prediction(indices, raw, valid)
+    return Prediction(frozenset(indices), raw, valid)
 
 
 def score(prediction: Prediction, ground_truth: Iterable[int]) -> bool:
@@ -155,8 +169,11 @@ class RemoteResolver:
             body = response.json()
             if not isinstance(body, dict):
                 raise ValueError(f"reply is not a JSON object: {body!r:.80}")
-            return str(body["text"])
-        except (requests.RequestException, ValueError, KeyError) as exc:
+            text = body["text"]
+            if type(text) is not str:
+                raise ValueError(f"reply text is not a string: {text!r:.80}")
+            return text
+        except (requests.RequestException, ValueError, KeyError, RecursionError) as exc:
             raise ResolverError(f"resolver request failed: {exc}") from exc
 
 

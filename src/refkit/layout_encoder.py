@@ -7,15 +7,19 @@ newline so the output text preserves the relative spatial arrangement.
 Entities are injected into the object set as numbered `{{i. text}}` markers
 so a downstream model can name them by index. The separators and the marker
 form are fixed; only the margin and the marker injection are configurable.
+
+Each stage is one pass over the objects and the only implementation of its
+step; `encode_screen` just chains them. Objects travel as `PlacedObject`
+tuples, and the sort and the grouping compute box centres inline with the
+same float expressions as `bbox_center`, so the order and the lines are
+exactly those the geometry helpers define.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .screen_model import (
-    BBox, Entity, ScreenObject, bbox_center, median_height, unique_objects
-)
+from .screen_model import BBox, Entity, ScreenObject, median_height, unique_objects
 
 SAME_LINE_SEPARATOR = "\t"
 LINE_SEPARATOR = "\n"
@@ -41,8 +45,7 @@ class EncoderConfig:
             raise ValueError("margin must be >= 0")
 
 
-@dataclass(frozen=True)
-class PlacedObject:
+class PlacedObject(NamedTuple):
     """A text box queued for rendering; entity_index marks injected markers."""
 
     text: str
@@ -115,10 +118,16 @@ def collect_objects(
 def sort_objects(objects: Iterable[PlacedObject]) -> list[PlacedObject]:
     """Order objects top-to-bottom, breaking center-y ties left-to-right.
 
-    One stable sort keyed on the reversed center (y, x), so the order is
-    lexicographic (center_y, center_x, input position).
+    One stable sort keyed on the center (y, x), so the order is lexicographic
+    (center_y, center_x, input position). The key is `bbox_center` reversed,
+    spelled out with the same float expressions.
     """
-    return sorted(objects, key=lambda o: bbox_center(o.box)[::-1])
+    return sorted(objects, key=_center_yx)
+
+
+def _center_yx(obj: PlacedObject) -> tuple[float, float]:
+    box = obj.box
+    return box.top + box.height / 2, box.left + box.width / 2
 
 
 def group_levels(sorted_objects: Sequence[PlacedObject], margin: float) -> list[Level]:
@@ -133,7 +142,8 @@ def group_levels(sorted_objects: Sequence[PlacedObject], margin: float) -> list[
     anchor_y: float | None = None
     members: list[PlacedObject] = []
     for obj in sorted_objects:
-        center_y = bbox_center(obj.box).y
+        box = obj.box
+        center_y = box.top + box.height / 2  # bbox_center(box).y
         if anchor_y is None or abs(center_y - anchor_y) > margin:
             if members:
                 levels.append(Level(anchor_y, tuple(members)))
@@ -148,23 +158,26 @@ def group_levels(sorted_objects: Sequence[PlacedObject], margin: float) -> list[
 
 def render_parse(levels: Sequence[Level]) -> OnscreenParse:
     """Join level members with a tab and levels with a newline, recording the
-    span of every entity marker."""
-    pieces: list[str] = []
+    span of every member that has an entity_index.
+
+    Each level is joined in one call; offsets are walked only on levels
+    that hold such a member.
+    """
+    lines: list[str] = []
     spans: list[tuple[int, tuple[int, int]]] = []
     offset = 0
-    for level_index, level in enumerate(levels):
-        if level_index:
-            pieces.append(LINE_SEPARATOR)
-            offset += len(LINE_SEPARATOR)
-        for member_index, obj in enumerate(level.members):
-            if member_index:
-                pieces.append(SAME_LINE_SEPARATOR)
-                offset += len(SAME_LINE_SEPARATOR)
-            if obj.entity_index is not None:
-                spans.append((obj.entity_index, (offset, offset + len(obj.text))))
-            pieces.append(obj.text)
-            offset += len(obj.text)
-    return OnscreenParse("".join(pieces), tuple(spans))
+    for level in levels:
+        members = level.members
+        line = SAME_LINE_SEPARATOR.join([obj.text for obj in members])
+        if any(obj.entity_index is not None for obj in members):
+            start = offset
+            for text, _, entity_index in members:
+                if entity_index is not None:
+                    spans.append((entity_index, (start, start + len(text))))
+                start += len(text) + len(SAME_LINE_SEPARATOR)
+        lines.append(line)
+        offset += len(line) + len(LINE_SEPARATOR)
+    return OnscreenParse(LINE_SEPARATOR.join(lines), tuple(spans))
 
 
 def default_margin(objects: Sequence[PlacedObject]) -> float:

@@ -24,9 +24,18 @@ class Point(NamedTuple):
     y: float
 
 
+# Numbers as BBox holds them; bool, though a subclass of int, is not one.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box: (left, top) corner plus non-negative extent."""
+    """Axis-aligned box: (left, top) corner plus non-negative extent.
+
+    Each field is a finite int or float. BBox stays a dataclass rather than
+    a tuple subclass: its fields are read in every geometry test, and named
+    fields of a tuple subclass read slower.
+    """
 
     left: float
     top: float
@@ -34,18 +43,26 @@ class BBox:
     height: float
 
     def __post_init__(self) -> None:
+        left, top, width, height = self.left, self.top, self.width, self.height
+        numbers = _NUMBER_TYPES
         isfinite = math.isfinite
         if not (
-            isfinite(self.left)
-            and isfinite(self.top)
-            and isfinite(self.width)
-            and isfinite(self.height)
+            type(left) in numbers
+            and type(top) in numbers
+            and type(width) in numbers
+            and type(height) in numbers
+            and isfinite(left)
+            and isfinite(top)
+            and isfinite(width)
+            and isfinite(height)
         ):
             for name in ("left", "top", "width", "height"):
                 value = getattr(self, name)
+                if type(value) not in numbers:
+                    raise ValueError(f"BBox.{name} must be a number, got {value!r}")
                 if not isfinite(value):
                     raise ValueError(f"BBox.{name} must be finite, got {value!r}")
-        if self.width < 0 or self.height < 0:
+        if width < 0 or height < 0:
             raise ValueError("BBox width and height must be non-negative")
 
 
@@ -54,9 +71,18 @@ def bbox_center(box: BBox) -> Point:
     return Point(box.left + box.width / 2, box.top + box.height / 2)
 
 
-@dataclass(frozen=True)
-class ScreenObject:
+class _ScreenObjectFields(NamedTuple):
+    text: str
+    box: BBox
+
+
+class ScreenObject(_ScreenObjectFields):
     """A non-entity text element on the screen.
+
+    A tuple of (text, box), so building, hashing and comparing one runs at
+    tuple speed; it equals the plain tuple of its fields. Every way of
+    making one (the constructor, `_make`, `_replace`, unpickling, copying)
+    makes the checks below.
 
     Newlines and tabs are rejected rather than escaped: they are the layout
     separators of the rendered parse, and allowing them would make the
@@ -64,11 +90,9 @@ class ScreenObject:
     which would let screen text pass for a numbered option.
     """
 
-    text: str
-    box: BBox
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        text = self.text
+    def __new__(cls, text: str, box: BBox) -> ScreenObject:
         if type(text) is not str:
             raise ValueError(f"screen object text must be a string, got {text!r}")
         if not text:
@@ -79,6 +103,26 @@ class ScreenObject:
             raise ValueError(
                 f"ScreenObject.text must not contain a marker delimiter, got {text!r}"
             )
+        if type(box) is not BBox:
+            raise ValueError(f"screen object box must be a BBox, got {box!r}")
+        return tuple.__new__(cls, (text, box))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ScreenObject:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
+
+def _items_of(values: Iterable, item_type: type, field: str) -> tuple:
+    """values as a tuple, when each item is exactly an item_type; else ValueError."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValueError(f"{field} must be an array, got {values!r}") from None
+    if not {item_type}.issuperset(map(type, items)):
+        bad = next(item for item in items if type(item) is not item_type)
+        raise ValueError(f"{field} items must be {item_type.__name__}, got {bad!r}")
+    return items
 
 
 @dataclass(frozen=True)
@@ -89,7 +133,11 @@ class Placement:
     surrounding: tuple[ScreenObject, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "surrounding", tuple(self.surrounding))
+        if type(self.box) is not BBox:
+            raise ValueError(f"placement box must be a BBox, got {self.box!r}")
+        object.__setattr__(
+            self, "surrounding", _items_of(self.surrounding, ScreenObject, "surrounding")
+        )
 
 
 @dataclass(frozen=True)
@@ -159,9 +207,11 @@ class DataPoint:
     screen: tuple[ScreenObject, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entities", tuple(self.entities))
+        object.__setattr__(self, "entities", _items_of(self.entities, Entity, "entities"))
         if self.screen is not None:
-            object.__setattr__(self, "screen", tuple(self.screen))
+            object.__setattr__(
+                self, "screen", _items_of(self.screen, ScreenObject, "screen")
+            )
         if type(self.request) is not str:
             raise ValueError(f"request must be a string, got {self.request!r}")
         if "\n" in self.request or "\r" in self.request:
@@ -207,15 +257,11 @@ def _box_to_json(box: BBox) -> list[float]:
     return [box.left, box.top, box.width, box.height]
 
 
-# What JSON numbers decode to; bool, though a subclass of int, is not one.
-_JSON_NUMBER_TYPES = frozenset((int, float))
-
-
 def _box_from_json(value: object) -> BBox:
     if (
         type(value) is not list
         or len(value) != 4
-        or not _JSON_NUMBER_TYPES.issuperset(map(type, value))
+        or not _NUMBER_TYPES.issuperset(map(type, value))
     ):
         raise ValueError(f"box must be an array of 4 numbers, got {value!r}")
     return BBox(*map(float, value))
@@ -228,7 +274,7 @@ def _object_to_json(obj: ScreenObject) -> dict:
 def _object_from_json(value: object) -> ScreenObject:
     if not isinstance(value, dict):
         raise ValueError(f"screen object must be an object, got {value!r}")
-    return ScreenObject(text=value["text"], box=_box_from_json(value["box"]))
+    return ScreenObject(value["text"], _box_from_json(value["box"]))
 
 
 def _entity_to_json(entity: Entity) -> dict:
@@ -310,14 +356,16 @@ def parse_dataset(text: str | bytes) -> list[DataPoint]:
     Raises DatasetError naming the 1-based line number of the first bad record.
     Records are split at "\n" only: format_dataset writes U+2028, U+2029 and
     U+0085 unescaped, and str.splitlines() would break a record at them.
+    Bytes are decoded line by line, so invalid UTF-8 is named by its line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    lines = text.split(b"\n" if isinstance(text, bytes) else "\n")
     datapoints = []
-    for line_number, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
+    for line_number, line in enumerate(lines, 1):
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
             record = json.loads(line)
             datapoints.append(datapoint_from_record(record))
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:

@@ -163,6 +163,16 @@ class TestPrompt:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad_rules.yaml: entry 0" in err
 
+    def test_invalid_utf8_diagnosed(self, tmp_path, capsys):
+        with open(RAINBOW, "rb") as handle:
+            good = handle.read().rstrip(b"\n")
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_bytes(good + b"\n" + good.replace(b'"request": "', b'"request": "\xff', 1))
+        code = main(["prompt", "--input", str(dataset), "--output", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2" in err and "utf-8" in err
+
     def test_onscreen_prompt_contains_parse(self, tmp_path):
         out = tmp_path / "prompts.jsonl"
         assert main(["prompt", "--input", REALTOR, "--output", str(out)]) == 0

@@ -4,10 +4,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from refkit import (
     ConstantResolver,
     EvaluationError,
+    load_dataset,
     OracleResolver,
     Prediction,
     RemoteResolver,
@@ -22,7 +25,7 @@ from refkit.prompt_builder import options_to_original
 from refkit.synth_datagen import LanguageTemplate, SlotList
 from refkit.value_bank import pool_entities
 
-from conftest import alarms_datapoint, rainbow_datapoint, realtor_datapoint
+from conftest import DATA_DIR, alarms_datapoint, rainbow_datapoint, realtor_datapoint
 
 
 def small_synthetic_set(n_queries: int = 10, seed: int = 0):
@@ -76,6 +79,31 @@ class TestParsePrediction:
             second = parse_prediction(canonical, n) if canonical else first
             assert second.indices == first.indices
             assert second.valid == first.valid
+
+    def test_leading_zeros(self):
+        prediction = parse_prediction("007, -0", n=9)
+        assert prediction.indices == frozenset({7, 0})
+        assert parse_prediction("007", n=9).valid
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["1" * 5000, "2, " + "0" * 4000 + "1" * 5000, "-" + "9" * 10**5],
+        ids=["ones", "zero-padded", "negative"],
+    )
+    def test_digit_run_past_int_limit_invalid(self, raw):
+        # CPython's int() refuses strings of more than 4300 digits.
+        prediction = parse_prediction(raw, n=9)
+        assert not prediction.valid
+
+    @given(
+        st.lists(st.text() | st.integers(0, 6000).map(lambda k: "7" * k)).map("".join),
+        st.integers(1, 10**6),
+    )
+    def test_any_text_parses(self, raw, n):
+        prediction = parse_prediction(raw, n)
+        assert isinstance(prediction, Prediction) and prediction.raw == raw
+        if prediction.valid:
+            assert prediction.indices and all(0 <= i <= n for i in prediction.indices)
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -201,6 +229,12 @@ class TestEvaluateDataset:
         threaded = evaluate_dataset(datapoints, resolver, seed=5, max_workers=4)
         assert threaded.to_json_dict() == sequential.to_json_dict()
 
+    def test_digit_run_past_int_limit_counted_invalid(self):
+        datapoints = load_dataset(str(DATA_DIR / "alarms.jsonl"))
+        report = evaluate_dataset(datapoints, ConstantResolver("1" * 5000), seed=0)
+        assert report.total == report.invalid == len(datapoints)
+        assert report.correct == 0
+
     def test_invalid_rate_reported(self):
         datapoints = small_synthetic_set(5)
         report = evaluate_dataset(datapoints, ConstantResolver("banana"), seed=0)
@@ -233,14 +267,17 @@ class TestReportShape:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    reply: dict = {"text": "0"}
+    # The reply as a JSON value, or as raw bytes sent unchanged.
+    reply: object = {"text": "0"}
     status: int = 200
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         assert "prompt" in body and "max_tokens" in body
-        payload = json.dumps(self.reply).encode("utf-8")
+        payload = self.reply
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload).encode("utf-8")
         self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -259,6 +296,14 @@ def http_endpoint():
     yield f"http://127.0.0.1:{server.server_address[1]}/resolve"
     server.shutdown()
     server.server_close()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+json_replies = json_values | st.fixed_dictionaries({"text": json_values})
 
 
 class TestRemoteResolver:
@@ -295,6 +340,46 @@ class TestRemoteResolver:
             # Every reply failing is a run error, not a TypeError from one item.
             with pytest.raises(EvaluationError):
                 evaluate_dataset(small_synthetic_set(4), resolver, seed=0)
+        finally:
+            _Handler.reply = {"text": "0"}
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            ({"text": ["1"]}, "not a string"),
+            ({"text": None}, "not a string"),
+            ({"text": 1}, "not a string"),
+            (b'{"text": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "recursion"),
+        ],
+        ids=["list", "null", "number", "deep-nesting"],
+    )
+    def test_malformed_text_is_resolver_error(self, http_endpoint, reply, message):
+        _Handler.reply = reply
+        try:
+            resolver = RemoteResolver(http_endpoint)
+            dp = rainbow_datapoint()
+            with pytest.raises(ResolverError, match=message):
+                resolver.resolve(prompt_for_datapoint(dp, seed=0), dp)
+            # Counted as transport failures, never scored.
+            with pytest.raises(EvaluationError, match="4/4"):
+                evaluate_dataset(small_synthetic_set(4), resolver, seed=0)
+        finally:
+            _Handler.reply = {"text": "0"}
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(json_replies)
+    def test_any_reply_is_text_or_resolver_error(self, http_endpoint, reply):
+        # The server is shared by all examples; only the reply changes.
+        _Handler.reply = reply
+        try:
+            resolver = RemoteResolver(http_endpoint)
+            dp = rainbow_datapoint()
+            prompt = prompt_for_datapoint(dp, seed=0)
+            if isinstance(reply, dict) and type(reply.get("text")) is str:
+                assert resolver.resolve(prompt, dp) == reply["text"]
+            else:
+                with pytest.raises(ResolverError):
+                    resolver.resolve(prompt, dp)
         finally:
             _Handler.reply = {"text": "0"}
 

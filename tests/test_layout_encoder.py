@@ -19,7 +19,7 @@ from refkit import (
     render_parse,
     sort_objects,
 )
-from refkit.layout_encoder import default_margin
+from refkit.layout_encoder import default_margin, marker_text
 
 from conftest import REALTOR_GRAB_TEXT, REALTOR_PARSE_TEXT, realtor_datapoint
 
@@ -234,6 +234,16 @@ class TestRender:
     def test_empty_levels(self):
         assert render_parse([]).text == ""
 
+    def test_span_for_every_indexed_member(self):
+        # The span follows entity_index, not the look of the text.
+        levels = [
+            Level(0.0, (obj("a", 0, 0), PlacedObject("plain", BBox(20, 0, 10, 2), 3))),
+            Level(9.0, (PlacedObject("{{x}}", BBox(0, 8, 10, 2), 0), obj("b", 20, 8))),
+        ]
+        parse = render_parse(levels)
+        assert parse.text == "a\tplain\n{{x}}\tb"
+        assert parse.marker_spans == ((3, (2, 7)), (0, (8, 13)))
+
     def test_separator_counts(self):
         rng = random.Random(2)
         for _ in range(25):
@@ -301,6 +311,64 @@ class TestEncodeScreen:
         objects = [obj("a", 0, 0, h=10), obj("b", 0, 50, h=20), obj("c", 0, 100, h=40)]
         assert default_margin(objects) == 10.0
         assert default_margin([]) == 0.0
+
+
+def reference_encode(screen, entities, config):
+    """The encoding from first principles: centers from bbox_center, a stable
+    sort, the reference sweep and a render that writes one piece at a time."""
+    objects = collect_objects(screen, entities, config)
+    margin = config.margin if config.margin is not None else default_margin(objects)
+    ordered = sorted(objects, key=lambda o: (bbox_center(o.box).y, bbox_center(o.box).x))
+    text, spans = "", []
+    for number, (_, members) in enumerate(reference_group_levels(ordered, margin)):
+        if number:
+            text += "\n"
+        for position, member in enumerate(members):
+            if position:
+                text += "\t"
+            if member.entity_index is not None:
+                spans.append((member.entity_index, (len(text), len(text) + len(member.text))))
+            text += member.text
+    return text, tuple(spans)
+
+
+# Mostly few distinct coordinates, so centers tie, boxes repeat and heights
+# are 0; sometimes any float, whose center may round.
+grid = st.integers(0, 6).map(lambda k: k * 2.5) | st.floats(0, 50)
+grid_boxes = st.builds(BBox, grid, grid, grid, grid)
+grid_objects = st.builds(ScreenObject, st.sampled_from(["a", "b", "cd"]), grid_boxes)
+
+
+@st.composite
+def grid_scenes(draw):
+    screen = draw(st.lists(grid_objects, max_size=25))
+    entities = []
+    for number in range(draw(st.integers(0, 4))):
+        surrounding = draw(st.lists(st.sampled_from(screen), max_size=4)) if screen else []
+        box = draw(st.sampled_from([o.box for o in screen]) | grid_boxes if screen else grid_boxes)
+        entities.append(
+            Entity("general text", (), display_text=f"e{number}", placement=Placement(box, surrounding))
+        )
+    config = EncoderConfig(
+        margin=draw(st.none() | st.just(0.0) | st.floats(0, 10)),
+        inject_markers=draw(st.booleans()),
+    )
+    return screen, entities, config
+
+
+class TestReferenceEquivalence:
+    @given(grid_scenes())
+    def test_matches_reference_encoding(self, scene):
+        screen, entities, config = scene
+        parse = encode_screen(screen, entities, config)
+        assert (parse.text, parse.marker_spans) == reference_encode(screen, entities, config)
+        if config.inject_markers:
+            assert [index for index, _ in sorted(parse.marker_spans)] == list(
+                range(1, len(entities) + 1)
+            )
+            for index, (start, end) in parse.marker_spans:
+                display = entities[index - 1].display_text
+                assert parse.text[start:end] == marker_text(index, display)
 
 
 class TestConfigValidation:

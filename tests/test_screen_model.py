@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -99,15 +101,57 @@ class TestInvariants:
             (lambda: Entity("p", display_text=5), "display_text must be a string"),
             (lambda: ScreenObject(5, BBox(0, 0, 1, 1)), "text must be a string"),
             (lambda: DataPoint(5, ()), "request must be a string"),
+            (lambda: BBox("1", 0, 1, 1), "BBox.left must be a number"),
+            (lambda: BBox(0, True, 1, 1), "BBox.top must be a number"),
+            (lambda: ScreenObject("a", (0, 0, 1, 1)), "box must be a BBox"),
+            (lambda: Placement((0, 0, 1, 1)), "box must be a BBox"),
+            (lambda: Placement(BBox(0, 0, 1, 1), (5,)), "surrounding items must be"),
+            (lambda: Placement(BBox(0, 0, 1, 1), 5), "surrounding must be an array"),
+            (lambda: DataPoint("x", (5,), kind="onscreen"), "entities items must be"),
+            # A plain tuple of a screen object's fields is not a screen object.
+            (lambda: DataPoint("x", (), screen=[("a", BBox(0, 0, 1, 1))]), "screen items"),
         ],
         ids=["properties-mapping", "null-value", "int-value", "type", "display-text",
-             "screen-text", "request"],
+             "screen-text", "request", "bbox-string", "bbox-bool", "screen-box",
+             "placement-box", "surrounding-item", "surrounding-scalar", "entity-item",
+             "screen-item"],
     )
     def test_wrong_field_types_rejected(self, build, message):
         # The value types check their own fields, with the codec's wording;
         # nothing is converted with str().
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_screen_object_is_the_tuple_of_its_fields(self):
+        box = BBox(0, 0, 1, 1)
+        obj = ScreenObject("a", box)
+        assert obj == ("a", box) and hash(obj) == hash(("a", box))
+        assert obj._replace(text="b") == ScreenObject("b", box)
+        assert type(obj._replace(text="b")) is ScreenObject
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda obj: obj._replace(text="x\ny"),
+            lambda obj: obj._replace(box=None),
+            lambda obj: ScreenObject._make(["x\ny", obj.box]),
+            lambda obj: ScreenObject._make(("a", None)),
+        ],
+        ids=["replace-text", "replace-box", "make-text", "make-box"],
+    )
+    def test_replace_and_make_check_fields(self, build):
+        with pytest.raises(ValueError):
+            build(ScreenObject("a", BBox(0, 0, 1, 1)))
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_screen_object_round_trips(self, round_trip):
+        obj = ScreenObject("a", BBox(0.5, 1, 2, 3))
+        again = round_trip(obj)
+        assert again == obj and type(again) is ScreenObject
 
     def test_entity_duplicate_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -386,6 +430,15 @@ class TestDatasetCodec:
     def test_pathological_json_names_line(self, line):
         with pytest.raises(DatasetError, match="line 1"):
             parse_dataset(line)
+
+    def test_invalid_utf8_names_line(self):
+        good = json.dumps(onscreen_record()).encode("utf-8")
+        bad = good.replace(b"open it", b"open \xff it")
+        with pytest.raises(DatasetError, match="line 2: 'utf-8' codec"):
+            parse_dataset(good + b"\n" + bad)
+        # Lines are checked in order: a bad record before the bad bytes is named.
+        with pytest.raises(DatasetError, match="line 1: Expecting"):
+            parse_dataset(b"{\n" + bad)
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_unicode_line_separators_round_trip(self, tmp_path, separator):
