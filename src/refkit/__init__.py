@@ -74,7 +74,6 @@ from .synth_datagen import (
     SlotList,
     TemplateError,
     expand_template,
-    expansion_count,
     generate_datapoints,
     load_templates,
 )

@@ -222,24 +222,27 @@ def assign_entity_cluster(entity: Entity, clusters: Sequence[Cluster]) -> Cluste
 
     Returns None when only noise (or nothing) is available, signalling that
     the encoding should degrade to positioning information alone.
+
+    Clusters are scanned in id order, member by member, and the first member
+    at distance 0.0 ends the scan: no distance is smaller, and a later
+    cluster would need a smaller one to win. A scene where no member touches
+    the entity still tests every member, O(n) per entity.
     """
     if entity.placement is None:
         raise ValueError("entity has no placement")
-    candidates = sorted(
-        (c for c in clusters if c.id != NOISE_CLUSTER_ID and c.members),
-        key=lambda c: c.id,
-    )
-    if not candidates:
-        return None
+    box = entity.placement.box
     best = None
     best_distance = math.inf
-    for cluster in candidates:
-        distance = min(
-            rect_distance(entity.placement.box, member.box) for member in cluster.members
-        )
-        if distance < best_distance:
-            best = cluster
-            best_distance = distance
+    for cluster in sorted(clusters, key=lambda c: c.id):
+        if cluster.id == NOISE_CLUSTER_ID:
+            continue
+        for member in cluster.members:
+            distance = rect_distance(box, member.box)
+            if distance < best_distance:
+                if distance == 0.0:
+                    return cluster
+                best = cluster
+                best_distance = distance
     return best
 
 

@@ -25,7 +25,8 @@ from .prompt_builder import Prompt, options_to_original, prompt_for_datapoint
 from .screen_model import DataPoint
 
 # An integer token: its sign, and its digits without leading zeros ("0" for zero).
-_INT_RE = re.compile(r"(-?)0*(\d+)")
+# Digits are ASCII only; int() would also read other scripts' decimal digits.
+_INT_RE = re.compile(r"(-?)0*(\d+)", re.ASCII)
 
 _KIND_COLUMNS = (("Conv", "conversational"), ("Synth", "synthetic"), ("Screen", "onscreen"))
 
@@ -53,9 +54,10 @@ class Prediction:
 def parse_prediction(raw: str, n: int) -> Prediction:
     """Extract integer tokens from raw output and validate them against n options.
 
-    Duplicates collapse into a set. The prediction is invalid when no integer
-    is present, any index is negative or exceeds n, or 0 appears alongside
-    other indices. Invalidity is data, not an error.
+    Tokens are runs of ASCII digits 0-9, so "\u0663" or "\uff13" names no
+    option. Duplicates collapse into a set. The prediction is invalid when no
+    integer is present, any index is negative or exceeds n, or 0 appears
+    alongside other indices. Invalidity is data, not an error.
 
     A token with more significant digits than n can never name an option.
     Tokens up to one digit longer than n still enter the set, so near misses

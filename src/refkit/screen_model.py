@@ -28,22 +28,29 @@ class Point(NamedTuple):
 _NUMBER_TYPES = frozenset((int, float))
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box: (left, top) corner plus non-negative extent.
-
-    Each field is a finite int or float. BBox stays a dataclass rather than
-    a tuple subclass: its fields are read in every geometry test, and named
-    fields of a tuple subclass read slower.
-    """
-
+class _BBoxFields(NamedTuple):
     left: float
     top: float
     width: float
     height: float
 
-    def __post_init__(self) -> None:
-        left, top, width, height = self.left, self.top, self.width, self.height
+
+class BBox(_BBoxFields):
+    """Axis-aligned box: (left, top) corner plus non-negative extent.
+
+    Each field is a finite int or float. A tuple of (left, top, width,
+    height), so building, hashing and comparing one runs at tuple speed; it
+    equals the plain 4-tuple of its fields and orders like one. Every way of
+    making one (the constructor, `_make`, `_replace`, unpickling, copying)
+    makes the checks below. The trade-off: CPython 3.11 specialises field
+    reads only on exact tuples, so one read of a box field costs several
+    times what it did when BBox was a frozen dataclass. The cheaper
+    construction and hashing more than repay that on the on-screen path.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, left: float, top: float, width: float, height: float) -> BBox:
         numbers = _NUMBER_TYPES
         isfinite = math.isfinite
         if not (
@@ -56,14 +63,19 @@ class BBox:
             and isfinite(width)
             and isfinite(height)
         ):
-            for name in ("left", "top", "width", "height"):
-                value = getattr(self, name)
+            for name, value in zip(cls._fields, (left, top, width, height)):
                 if type(value) not in numbers:
                     raise ValueError(f"BBox.{name} must be a number, got {value!r}")
                 if not isfinite(value):
                     raise ValueError(f"BBox.{name} must be finite, got {value!r}")
         if width < 0 or height < 0:
             raise ValueError("BBox width and height must be non-negative")
+        return tuple.__new__(cls, (left, top, width, height))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> BBox:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 def bbox_center(box: BBox) -> Point:
@@ -253,10 +265,6 @@ def _expect(value: object, field: str) -> list:
     return value
 
 
-def _box_to_json(box: BBox) -> list[float]:
-    return [box.left, box.top, box.width, box.height]
-
-
 def _box_from_json(value: object) -> BBox:
     if (
         type(value) is not list
@@ -268,7 +276,7 @@ def _box_from_json(value: object) -> BBox:
 
 
 def _object_to_json(obj: ScreenObject) -> dict:
-    return {"text": obj.text, "box": _box_to_json(obj.box)}
+    return {"text": obj.text, "box": list(obj.box)}
 
 
 def _object_from_json(value: object) -> ScreenObject:
@@ -285,7 +293,7 @@ def _entity_to_json(entity: Entity) -> dict:
     if entity.display_text is not None:
         record["display_text"] = entity.display_text
     if entity.placement is not None:
-        record["box"] = _box_to_json(entity.placement.box)
+        record["box"] = list(entity.placement.box)
         record["surrounding"] = [_object_to_json(o) for o in entity.placement.surrounding]
     return record
 

@@ -104,18 +104,6 @@ def check_placeholders(template: LanguageTemplate, slots: SlotList) -> None:
                 )
 
 
-def expansion_count(template: LanguageTemplate, slots: SlotList) -> int:
-    """Number of queries expansion will produce: sum over variations of the
-    product of that variation's slot sizes."""
-    total = 0
-    for variation in template.variations:
-        count = 1
-        for name in placeholders(variation):
-            count *= len(slots.slots.get(name, ()))
-        total += count
-    return total
-
-
 def expand_template(template: LanguageTemplate, slots: SlotList) -> list[str]:
     """Substitute every combination of slot values into every variation.
 

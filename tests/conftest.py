@@ -1,10 +1,13 @@
 """Shared fixtures: the golden scenes used across encoder and prompt tests.
 
 The JSONL files under tests/data/ are the shipped form of these same
-datapoints; test_screen_model guards that the two stay in sync.
+datapoints; test_screen_model guards that the two stay in sync. The
+benchmark's seeded inputs are available too, through `benchmark_input`.
 """
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from refkit import BBox, DataPoint, Entity, Placement, ScreenObject
 
 DATA_DIR = Path(__file__).parent / "data"
+REPO_DIR = Path(__file__).parent.parent
 
 # Rendered form of the realtor screen: eight lines, phone markers on the last.
 REALTOR_PARSE_TEXT = (
@@ -164,3 +168,23 @@ def rainbow():
 @pytest.fixture
 def alarms():
     return alarms_datapoint()
+
+
+@pytest.fixture(scope="session")
+def benchmark_input(tmp_path_factory):
+    """The dataset bytes benchmarks/gen.py writes for a workload at seed 1."""
+    made: dict[str, bytes] = {}
+
+    def dataset(workload: str) -> bytes:
+        if workload not in made:
+            out = tmp_path_factory.mktemp(workload)
+            subprocess.run(
+                [sys.executable, str(REPO_DIR / "benchmarks" / "gen.py"),
+                 "--workload", workload, "--seed", "1",
+                 "--src", str(REPO_DIR / "src"), "--out", str(out)],
+                check=True, capture_output=True,
+            )
+            made[workload] = (out / "dataset.jsonl").read_bytes()
+        return made[workload]
+
+    return dataset

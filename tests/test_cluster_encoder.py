@@ -20,8 +20,8 @@ from refkit import (
     encode_screen,
     rect_distance,
 )
-from refkit.cluster_encoder import NOISE_CLUSTER_ID, has_token_overlap
-from refkit.screen_model import median_height, unique_objects
+from refkit.cluster_encoder import NOISE_CLUSTER_ID, Cluster, has_token_overlap
+from refkit.screen_model import median_height, parse_dataset, unique_objects
 
 from conftest import branches_datapoint
 
@@ -338,6 +338,37 @@ def place_entity(text: str, box: BBox, type_name: str = "general text") -> Entit
     return Entity(type_name, (), display_text=text, placement=Placement(box))
 
 
+def min_over_members(entity: Entity, clusters) -> Cluster | None:
+    """Reference: the nearest real cluster from each one's minimum member
+    distance, with no early exit; the lowest id wins a tie."""
+    candidates = sorted(
+        (c for c in clusters if c.id != NOISE_CLUSTER_ID and c.members), key=lambda c: c.id
+    )
+    best, best_distance = None, math.inf
+    for cluster in candidates:
+        distance = min(rect_distance(entity.placement.box, m.box) for m in cluster.members)
+        if distance < best_distance:
+            best, best_distance = cluster, distance
+    return best
+
+
+# Small integer boxes touch and tie; coordinates near the float limit put
+# boxes at a distance that overflows to inf.
+FAR = 1.7e308
+assign_coords = st.integers(0, 30) | st.sampled_from([-FAR, FAR])
+assign_boxes = st.builds(
+    BBox, assign_coords, assign_coords, st.integers(0, 6), st.integers(0, 6) | st.just(1e308)
+)
+assign_clusters = st.lists(
+    st.builds(
+        Cluster,
+        st.integers(NOISE_CLUSTER_ID, 4),
+        st.lists(st.builds(ScreenObject, st.just("m"), assign_boxes), max_size=4).map(tuple),
+    ),
+    max_size=5,
+)
+
+
 class TestAssign:
     def test_entity_inside_cluster(self):
         objects = [ScreenObject("a", BBox(0, 0, 10, 10)), ScreenObject("b", BBox(300, 0, 10, 10))]
@@ -376,6 +407,52 @@ class TestAssign:
             )
             chosen = assign_entity_cluster(entity, clusters)
             assert chosen.id == best[1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(assign_boxes, assign_clusters)
+    @example(BBox(0, 0, 1, 1), [])  # nothing
+    @example(BBox(0, 0, 1, 1), [Cluster(NOISE_CLUSTER_ID, (ScreenObject("m", BBox(0, 0, 1, 1)),))])
+    @example(BBox(0, 0, 1, 1), [Cluster(0, ())])  # an empty cluster
+    @example(  # a tie at distance 1, the higher id listed first
+        BBox(10, 0, 1, 1),
+        [Cluster(1, (ScreenObject("m", BBox(12, 0, 1, 1)),)),
+         Cluster(0, (ScreenObject("m", BBox(8, 0, 1, 1)),))],
+    )
+    @example(  # both clusters touch the entity, the first after a farther member
+        BBox(10, 0, 1, 1),
+        [Cluster(0, (ScreenObject("m", BBox(20, 0, 1, 1)), ScreenObject("m", BBox(11, 0, 1, 1)))),
+         Cluster(1, (ScreenObject("m", BBox(10, 0, 1, 1)),))],
+    )
+    @example(  # every distance overflows to inf
+        BBox(FAR, FAR, 0, 0), [Cluster(0, (ScreenObject("m", BBox(-FAR, -FAR, 0, 0)),))]
+    )
+    def test_early_exit_matches_min_over_members(self, box, clusters):
+        entity = place_entity("x", box)
+        assert assign_entity_cluster(entity, clusters) is min_over_members(entity, clusters)
+
+    def test_early_exit_on_benchmark_scenes(self, monkeypatch, benchmark_input):
+        # Every entity of cluster-encode's seed-1 scenes touches a member of
+        # its cluster, so the scan stops there instead of testing every
+        # member of every cluster (13,314 distance tests).
+        assignments = []
+        for datapoint in parse_dataset(benchmark_input("cluster-encode")):
+            for entity in datapoint.entities:
+                objects = unique_objects(entity.placement.surrounding, datapoint.screen)
+                clusters = dbscan_cluster(objects, median_height(objects) or 1.0)
+                assignments.append((entity, clusters, min_over_members(entity, clusters)))
+        calls = 0
+        exact = cluster_encoder.rect_distance
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return exact(a, b)
+
+        monkeypatch.setattr(cluster_encoder, "rect_distance", counting)
+        for entity, clusters, expected in assignments:
+            assert assign_entity_cluster(entity, clusters) is expected
+        assert len(assignments) == 104
+        assert calls <= 1843
 
 
 def per_entity_encodings(screen, entities, eps=None, min_pts=1):

@@ -86,6 +86,18 @@ class TestParsePrediction:
         assert parse_prediction("007", n=9).valid
 
     @pytest.mark.parametrize(
+        "raw, indices",
+        [("\u0663", set()), ("\uff13", set()), ("\u0966\u0663", set()), ("1\u0663", {1})],
+        ids=["arabic-indic", "fullwidth", "devanagari", "ascii-then-arabic-indic"],
+    )
+    def test_only_ascii_digits_read(self, raw, indices):
+        # int() reads any Unicode decimal digit, but an option number is ASCII:
+        # "\u0663" (Arabic-Indic three) and "\uff13" (fullwidth three) are not option 3.
+        prediction = parse_prediction(raw, n=9)
+        assert prediction.indices == frozenset(indices)
+        assert prediction.valid == bool(indices)
+
+    @pytest.mark.parametrize(
         "raw",
         ["1" * 5000, "2, " + "0" * 4000 + "1" * 5000, "-" + "9" * 10**5],
         ids=["ones", "zero-padded", "negative"],

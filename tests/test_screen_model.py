@@ -1,8 +1,11 @@
 import copy
+import hashlib
 import io
 import json
+import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +66,66 @@ class TestBBox:
         moved = bbox_center(BBox(left + dx, top + dy, w, h))
         assert moved.x == pytest.approx(base.x + dx, abs=1e-6)
         assert moved.y == pytest.approx(base.y + dy, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("1", 0, 1, 1), "BBox.left must be a number, got '1'"),
+            ((0, True, 1, 1), "BBox.top must be a number, got True"),
+            ((0, 0, math.nan, 1), "BBox.width must be finite, got nan"),
+            ((0, 0, 1, -math.inf), "BBox.height must be finite, got -inf"),
+            ((0, 0, -1, 1), "BBox width and height must be non-negative"),
+            ((0, 0, 1, -0.5), "BBox width and height must be non-negative"),
+        ],
+        ids=["string", "bool", "nan", "inf", "negative-width", "negative-height"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda fields: BBox(*fields),
+            lambda fields: BBox(**dict(zip(BBox._fields, fields))),
+            BBox._make,
+            lambda fields: BBox(0, 0, 1, 1)._replace(**dict(zip(BBox._fields, fields))),
+            # A box forged past the checks is checked again when it is rebuilt.
+            lambda fields: pickle.loads(pickle.dumps(tuple.__new__(BBox, fields))),
+            lambda fields: copy.copy(tuple.__new__(BBox, fields)),
+            lambda fields: copy.deepcopy(tuple.__new__(BBox, fields)),
+        ],
+        ids=["constructor", "keywords", "make", "replace", "pickle", "copy", "deepcopy"],
+    )
+    def test_every_construction_checks_fields(self, build, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(fields)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda box: pickle.loads(pickle.dumps(box)), copy.deepcopy, copy.copy,
+         lambda box: box._replace(), BBox._make],
+        ids=["pickle", "deepcopy", "copy", "replace", "make"],
+    )
+    def test_round_trips_keep_type_and_fields(self, round_trip):
+        box = BBox(0.5, 1, 2, 3)
+        again = round_trip(box)
+        assert again == box and type(again) is BBox
+        assert [type(value) for value in again] == [float, int, int, int]
+
+    def test_int_and_float_fields_equal(self):
+        box = BBox(1, 0, 1, 1)
+        assert box == BBox(1.0, 0.0, 1.0, 1.0)
+        assert hash(box) == hash(BBox(1.0, 0.0, 1.0, 1.0))
+
+    def test_box_is_the_tuple_of_its_fields(self):
+        box = BBox(1, 2, 3, 4)
+        assert box == (1, 2, 3, 4) and hash(box) == hash((1, 2, 3, 4))
+        assert (box.left, box.top, box.width, box.height) == tuple(box)
+        # Boxes order like tuples: by left, then top, width and height.
+        assert sorted([BBox(1, 2, 0, 0), BBox(0, 5, 1, 1), BBox(1, 1, 9, 9)]) == [
+            (0, 5, 1, 1), (1, 1, 9, 9), (1, 2, 0, 0)
+        ]
+        with pytest.raises(AttributeError):
+            box.left = 5
+        with pytest.raises(AttributeError):
+            box.depth = 1
 
 
 class TestInvariants:
@@ -328,6 +391,40 @@ class TestDatasetCodec:
             gt = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
             datapoints.append(DataPoint(f"req {rng.random()}", entities, gt, "synthetic"))
         assert parse_dataset(format_dataset(datapoints)) == datapoints
+
+    # SHA-256 of format_dataset(parse_dataset(x)). Integer box numbers come
+    # back as floats, so inputs holding them are not re-serialised unchanged.
+    ROUND_TRIP_DIGESTS = {
+        "alarms.jsonl": "9bc7e34bd7e4b1270ffae2583f78b8a3baab5cf27ae0936019f2412780fb713a",
+        "branch_clusters.jsonl": "c3dfba5ae5efd751ddfc6321dff4e9b9fcc9c209e1e79ba048d694dda8f32dc2",
+        "rainbow.jsonl": "7021e3f174c6a1588742114af0875c31815472428e86116cb26c55c665f40dc6",
+        "realtor_screen.jsonl": "0e3640eb00b99dd7611d4bdfa11d46d9f6ecc35ec92100c03c2e55635a2b3b26",
+    }
+    # (input, output) digests for benchmarks/gen.py's seed-1 datasets.
+    BENCHMARK_ROUND_TRIP_DIGESTS = {
+        "screen-e2e": (
+            "c77fe101b6d2f74e44b51c8a8ed066ccf96b67aebbf10c86ad5ba991752525c3",
+            "c77fe101b6d2f74e44b51c8a8ed066ccf96b67aebbf10c86ad5ba991752525c3",
+        ),
+        "cluster-encode": (
+            "a6c3445a352d58b2592c2278129e411690859cb823158f53a1a7f09bf8008ca5",
+            "2abf324dc7b013e7134a05f0a19ff46cbcbf5f7e375dbf7ef204aa37542e066b",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_DIGESTS))
+    def test_re_serialised_fixture_bytes(self, name):
+        text = (DATA_DIR / name).read_text(encoding="utf-8")
+        again = format_dataset(parse_dataset(text)).encode("utf-8")
+        assert hashlib.sha256(again).hexdigest() == self.ROUND_TRIP_DIGESTS[name]
+
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_ROUND_TRIP_DIGESTS))
+    def test_re_serialised_benchmark_bytes(self, workload, benchmark_input):
+        data = benchmark_input(workload)
+        source, expected = self.BENCHMARK_ROUND_TRIP_DIGESTS[workload]
+        assert hashlib.sha256(data).hexdigest() == source, "the generator's output changed"
+        again = format_dataset(parse_dataset(data)).encode("utf-8")
+        assert hashlib.sha256(again).hexdigest() == expected
 
     def test_save_and_load_paths_and_streams(self, tmp_path):
         datapoints = [rainbow_datapoint()]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,7 +8,6 @@ from refkit import (
     SlotList,
     TemplateError,
     expand_template,
-    expansion_count,
     generate_datapoints,
 )
 from refkit.screen_model import format_dataset
@@ -54,7 +54,11 @@ class TestExpansion:
         )
         queries = expand_template(template, slots)
         assert len(queries) == 12
-        assert expansion_count(template, slots) == 12
+        # Sum over variations of the product of their slot sizes: 2*3 + 2*3.
+        assert sum(
+            math.prod(len(slots.slots[name]) for name in placeholders(variation))
+            for variation in template.variations
+        ) == 12
         expected = [
             variation.replace("[a]", a).replace("[b]", b)
             for variation in template.variations
@@ -126,7 +130,11 @@ class TestGeneration:
         template, slots = share_template()
         pool = pool_entities(exclude_types=slots.ground_truth_types)
         datapoints = generate_datapoints(template, slots, pool, seed=4)
-        assert len(datapoints) == expansion_count(template, slots) == 4
+        count = sum(
+            math.prod(len(slots.slots[name]) for name in placeholders(variation))
+            for variation in template.variations
+        )
+        assert len(datapoints) == count == 4
 
     def test_max_samples_subsample(self):
         template, slots = share_template()
@@ -228,7 +236,11 @@ class TestTemplateFiles:
     def test_bundled_templates_load_and_cover_500(self):
         pairs = load_templates(bundled_template_dir())
         assert len(pairs) >= 5
-        total = sum(expansion_count(t, s) for t, s in pairs)
+        total = sum(
+            math.prod(len(slots.slots[name]) for name in placeholders(variation))
+            for template, slots in pairs
+            for variation in template.variations
+        )
         assert total >= 500
 
     def test_directory_loading_sorted(self, tmp_path):
