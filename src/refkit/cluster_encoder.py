@@ -226,7 +226,8 @@ def assign_entity_cluster(entity: Entity, clusters: Sequence[Cluster]) -> Cluste
     Clusters are scanned in id order, member by member, and the first member
     at distance 0.0 ends the scan: no distance is smaller, and a later
     cluster would need a smaller one to win. A scene where no member touches
-    the entity still tests every member, O(n) per entity.
+    the entity still tests every member, O(n) per entity. The first member
+    seen sets `best` even at a distance that overflows to inf.
     """
     if entity.placement is None:
         raise ValueError("entity has no placement")
@@ -238,7 +239,7 @@ def assign_entity_cluster(entity: Entity, clusters: Sequence[Cluster]) -> Cluste
             continue
         for member in cluster.members:
             distance = rect_distance(box, member.box)
-            if distance < best_distance:
+            if best is None or distance < best_distance:
                 if distance == 0.0:
                     return cluster
                 best = cluster

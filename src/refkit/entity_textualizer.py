@@ -17,6 +17,10 @@ from .screen_model import Entity
 
 _TYPE_JOIN = " | "
 
+# Most renderings one registry remembers; past it the oldest is dropped, as
+# `re` bounds its compile cache.
+MAX_MEMO = 4096
+
 
 class RuleError(ValueError):
     """Raised for a malformed rule or rules file."""
@@ -104,10 +108,16 @@ class RuleRegistry:
     Intended usage is build-then-read: populate during startup, then treat
     as immutable so concurrent readers need no locking. Use copy() to derive
     a modified registry.
+
+    textualize() remembers the string it rendered for each (entity_type,
+    properties), the only entity fields it reads, up to MAX_MEMO of them.
+    register() starts a new memo and copy() gives the copy an empty one. Two
+    threads may render the same entity at once; both store the same string.
     """
 
     def __init__(self, rules: tuple[TextualizationRule, ...] | list[TextualizationRule] = ()):
         self._rules: dict[str, TextualizationRule] = {}
+        self._memo: dict[tuple[str, tuple[tuple[str, str], ...]], str] = {}
         for rule in rules:
             self.register(rule)
 
@@ -116,21 +126,38 @@ class RuleRegistry:
         if key in self._rules and not overwrite:
             raise RuleConflictError(f"rule for {rule.type_name!r} already registered")
         self._rules[key] = rule
+        # A new dict, not clear(): a rendering begun under the old rules then
+        # lands in the old memo, never in this one.
+        self._memo = {}
 
     def rule_for(self, type_name: str) -> TextualizationRule | None:
         return self._rules.get(type_name.lower())
 
     def textualize(self, entity: Entity) -> str:
-        rule = self.rule_for(entity.entity_type)
+        memo = self._memo
+        key = (entity.entity_type, entity.properties)
+        text = memo.get(key)
+        if text is None:
+            text = self._render(*key)
+            if len(memo) >= MAX_MEMO:
+                try:
+                    del memo[next(iter(memo))]
+                except (StopIteration, RuntimeError, KeyError):
+                    pass  # another thread changed the memo first
+            memo[key] = text
+        return text
+
+    def _render(self, entity_type: str, properties: tuple[tuple[str, str], ...]) -> str:
+        rule = self.rule_for(entity_type)
         if rule is None:
-            parts = [_clean(value) for _, value in entity.properties]
-            return _tagged(camel_case(entity.entity_type), parts)
-        properties = dict(entity.properties)
+            parts = [_clean(value) for _, value in properties]
+            return _tagged(camel_case(entity_type), parts)
+        values = dict(properties)
         parts = []
         for spec in rule.fields:
-            if spec.key not in properties:
+            if spec.key not in values:
                 continue
-            value = _clean(properties[spec.key])
+            value = _clean(values[spec.key])
             parts.append(f"{spec.key}: {value}" if spec.labeled else value)
         return _tagged(rule.display_name, parts, rule.field_separator)
 
@@ -196,7 +223,7 @@ def default_registry() -> RuleRegistry:
 
 def textualize_entity(entity: Entity, registry: RuleRegistry | None = None) -> str:
     """Render one entity with the given registry (default rules when omitted)."""
-    return (registry or _DEFAULT_REGISTRY).textualize(entity)
+    return (_DEFAULT_REGISTRY if registry is None else registry).textualize(entity)
 
 
 def _rule_from_mapping(entry: object) -> TextualizationRule:

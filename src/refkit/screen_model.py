@@ -77,6 +77,11 @@ class BBox(_BBoxFields):
         # namedtuple's own _make, which _replace calls, skips __new__.
         return cls(*iterable)
 
+    def __reduce__(self) -> tuple:
+        # Pickle protocols 0 and 1 would otherwise rebuild through
+        # tuple.__new__, skipping the checks.
+        return type(self), tuple(self)
+
 
 def bbox_center(box: BBox) -> Point:
     """Center point of a bounding box."""
@@ -123,6 +128,10 @@ class ScreenObject(_ScreenObjectFields):
     def _make(cls, iterable: Iterable) -> ScreenObject:
         # namedtuple's own _make, which _replace calls, skips __new__.
         return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        # As BBox.__reduce__: every pickle protocol rebuilds through __new__.
+        return type(self), tuple(self)
 
 
 def _items_of(values: Iterable, item_type: type, field: str) -> tuple:
@@ -298,10 +307,17 @@ def _entity_to_json(entity: Entity) -> dict:
     return record
 
 
-def _entity_from_json(value: object) -> Entity:
+def _entity_from_json(value: object, shared: dict) -> Entity:
+    """The entity a record holds; equal placement-free records share one.
+
+    `shared` maps the content of each placement-free record decoded so far to
+    its Entity. A key is built only when `properties` is an array of arrays,
+    the shape of a valid record, so its equality is the equality of the JSON
+    values: a string or object in place of a pair never matches a valid pair.
+    """
     if not isinstance(value, dict):
         raise ValueError(f"entity must be an object, got {value!r}")
-    placement = None
+    placement = key = None
     if "box" in value:
         placement = Placement(
             box=_box_from_json(value["box"]),
@@ -310,12 +326,25 @@ def _entity_from_json(value: object) -> Entity:
                 for o in _expect(value.get("surrounding", []), "surrounding")
             ),
         )
-    return Entity(
-        entity_type=value["type"],
-        properties=value.get("properties", ()),
-        display_text=value.get("display_text"),
-        placement=placement,
-    )
+    entity_type = value["type"]
+    properties = value.get("properties", ())
+    display_text = value.get("display_text")
+    if (
+        placement is None
+        and type(properties) is list
+        and {list}.issuperset(map(type, properties))
+    ):
+        key = (entity_type, display_text, tuple(map(tuple, properties)))
+        try:
+            entity = shared.get(key)
+        except TypeError:  # an array or object field, which Entity rejects
+            entity = key = None
+        if entity is not None:
+            return entity
+    entity = Entity(entity_type, properties, display_text, placement)
+    if key is not None:
+        shared[key] = entity
+    return entity
 
 
 def datapoint_to_record(datapoint: DataPoint) -> dict:
@@ -330,7 +359,8 @@ def datapoint_to_record(datapoint: DataPoint) -> dict:
     return record
 
 
-def datapoint_from_record(record: object) -> DataPoint:
+def datapoint_from_record(record: object, shared: dict) -> DataPoint:
+    """The datapoint a decoded record holds; `shared` as in _entity_from_json."""
     if not isinstance(record, dict):
         raise ValueError(f"record must be an object, got {record!r}")
     for key in ("request", "kind", "entities", "ground_truth"):
@@ -342,7 +372,7 @@ def datapoint_from_record(record: object) -> DataPoint:
     return DataPoint(
         request=record["request"],
         entities=tuple(
-            _entity_from_json(e) for e in _expect(record["entities"], "entities")
+            _entity_from_json(e, shared) for e in _expect(record["entities"], "entities")
         ),
         ground_truth=_expect(record["ground_truth"], "ground_truth"),
         kind=record["kind"],
@@ -365,9 +395,15 @@ def parse_dataset(text: str | bytes) -> list[DataPoint]:
     Records are split at "\n" only: format_dataset writes U+2028, U+2029 and
     U+0085 unescaped, and str.splitlines() would break a record at them.
     Bytes are decoded line by line, so invalid UTF-8 is named by its line.
+
+    Equal placement-free entity records within one call decode to one shared
+    Entity, which is immutable: a synthetic dataset names a few entities many
+    times. Whether two entities are the same object is not part of the
+    format; nothing is shared between calls.
     """
     lines = text.split(b"\n" if isinstance(text, bytes) else "\n")
     datapoints = []
+    shared: dict = {}
     for line_number, line in enumerate(lines, 1):
         try:
             if isinstance(line, bytes):
@@ -375,7 +411,7 @@ def parse_dataset(text: str | bytes) -> list[DataPoint]:
             if not line.strip():
                 continue
             record = json.loads(line)
-            datapoints.append(datapoint_from_record(record))
+            datapoints.append(datapoint_from_record(record, shared))
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise DatasetError(f"line {line_number}: {exc}") from exc
     return datapoints

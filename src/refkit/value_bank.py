@@ -131,6 +131,13 @@ VALUE_BANK: dict[str, tuple[Props, ...]] = {
 
 _FALLBACK_SUFFIXES = ("one", "two", "three", "four", "five")
 
+# Each bank entry as an Entity, built once: entities are immutable, so every
+# datapoint that draws an entry can hold the same one.
+_BANK_ENTITIES: dict[str, tuple[Entity, ...]] = {
+    type_name: tuple(Entity(type_name, props) for props in entries)
+    for type_name, entries in VALUE_BANK.items()
+}
+
 
 def bank_values(type_name: str) -> tuple[Props, ...]:
     """Property sets available for a type, with a placeholder fallback."""
@@ -143,7 +150,16 @@ def bank_values(type_name: str) -> tuple[Props, ...]:
 
 
 def sample_entity(type_name: str, rng: random.Random) -> Entity:
-    """Draw one entity of the given type from the bank."""
+    """Draw one entity of the given type from the bank.
+
+    A type name that is a bank key returns the bank's shared Entity; any
+    other name (another case of a key, or a type the bank lacks) builds a
+    new one. Both make the same single `rng.choice` over the same number of
+    entries, so the draw does not depend on which.
+    """
+    entities = _BANK_ENTITIES.get(type_name)
+    if entities is not None:
+        return rng.choice(entities)
     return Entity(type_name, rng.choice(bank_values(type_name)))
 
 
@@ -151,12 +167,12 @@ def pool_entities(exclude_types: Iterable[str] = ()) -> list[Entity]:
     """Every bank entity whose type is not excluded, in stable bank order.
 
     This is the stock negative pool: exclude a template's ground-truth types
-    and everything left is a safe distractor.
+    and everything left is a safe distractor. The entities are the bank's
+    shared instances, the ones sample_entity draws from.
     """
     excluded = {t.lower() for t in exclude_types}
     pool = []
-    for type_name, entries in VALUE_BANK.items():
-        if type_name in excluded:
-            continue
-        pool.extend(Entity(type_name, props) for props in entries)
+    for type_name, entities in _BANK_ENTITIES.items():
+        if type_name not in excluded:
+            pool.extend(entities)
     return pool

@@ -340,14 +340,14 @@ def place_entity(text: str, box: BBox, type_name: str = "general text") -> Entit
 
 def min_over_members(entity: Entity, clusters) -> Cluster | None:
     """Reference: the nearest real cluster from each one's minimum member
-    distance, with no early exit; the lowest id wins a tie."""
+    distance, with no early exit; the lowest id wins a tie, also at inf."""
     candidates = sorted(
         (c for c in clusters if c.id != NOISE_CLUSTER_ID and c.members), key=lambda c: c.id
     )
     best, best_distance = None, math.inf
     for cluster in candidates:
         distance = min(rect_distance(entity.placement.box, m.box) for m in cluster.members)
-        if distance < best_distance:
+        if best is None or distance < best_distance:
             best, best_distance = cluster, distance
     return best
 
@@ -407,6 +407,13 @@ class TestAssign:
             )
             chosen = assign_entity_cluster(entity, clusters)
             assert chosen.id == best[1]
+
+    def test_overflowing_distances_still_assign(self):
+        # Every distance overflows to inf; the lowest real cluster still wins.
+        entity = place_entity("x", BBox(FAR, FAR, 0, 0))
+        clusters = [Cluster(1, (ScreenObject("m", BBox(-FAR, 0, 0, 0)),)),
+                    Cluster(0, (ScreenObject("m", BBox(-FAR, -FAR, 0, 0)),))]
+        assert assign_entity_cluster(entity, clusters).id == 0
 
     @settings(max_examples=400, deadline=None)
     @given(assign_boxes, assign_clusters)

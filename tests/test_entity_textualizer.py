@@ -1,3 +1,8 @@
+import os
+import random
+import sys
+import threading
+
 import pytest
 
 from refkit import (
@@ -7,11 +12,13 @@ from refkit import (
     RuleError,
     RuleRegistry,
     TextualizationRule,
+    build_conversational_prompt,
     default_registry,
     load_rules,
     textualize_entity,
 )
-from refkit.entity_textualizer import camel_case
+from refkit.entity_textualizer import DEFAULT_RULES, MAX_MEMO, camel_case
+from refkit.value_bank import pool_entities
 
 # One row per supported type: the entity's properties and the exact string
 # it must render to.
@@ -143,6 +150,90 @@ class TestRegistry:
 
     def test_default_registry_size(self):
         assert len(default_registry()) == 21
+
+    def test_empty_registry_is_not_replaced_by_defaults(self, tmp_path):
+        alarm = Entity("alarm", REPRESENTATION_CORPUS[0][1])
+        generic = "Type: Alarm | 08:06 PM | brush hair | Off"
+        assert textualize_entity(alarm, RuleRegistry()) == generic
+        prompt = build_conversational_prompt("wake me", [alarm], registry=RuleRegistry())
+        assert f"\n1. {generic}\n" in prompt.text
+        path = tmp_path / "rules.yaml"
+        path.write_text("", encoding="utf-8")
+        assert textualize_entity(alarm, load_rules(str(path))) == generic
+
+
+class TestMemo:
+    def test_register_after_rendering_changes_result(self):
+        registry = default_registry().copy()
+        person = Entity("person", (("name", "Ana"),))
+        gadget = Entity("gadget", (("value", "whatsit"),))
+        assert registry.textualize(person) == "Type: Person | Ana"
+        assert registry.textualize(gadget) == "Type: Gadget | whatsit"
+        registry.register(
+            TextualizationRule("person", "Contact", fields=(FieldSpec("name"),)),
+            overwrite=True,
+        )
+        registry.register(TextualizationRule("gadget", "Thing"))
+        assert registry.textualize(person) == "Type: Contact | Ana"
+        assert registry.textualize(gadget) == "Type: Thing"
+
+    def test_copy_is_isolated(self):
+        original = RuleRegistry()
+        gadget = Entity("gadget", (("value", "whatsit"),))
+        assert original.textualize(gadget) == "Type: Gadget | whatsit"
+        clone = original.copy()
+        assert not clone._memo
+        clone.register(TextualizationRule("gadget", "Thing"))
+        assert clone.textualize(gadget) == "Type: Thing"
+        assert original.textualize(gadget) == "Type: Gadget | whatsit"
+        widget = Entity("widget")
+        assert original.textualize(widget) == "Type: Widget"
+        assert ("widget", ()) not in clone._memo
+
+    def test_memo_is_bounded(self):
+        registry = RuleRegistry()
+        for i in range(MAX_MEMO + 100):
+            entity = Entity("gadget", (("value", f"v{i}"),))
+            assert registry.textualize(entity) == f"Type: Gadget | v{i}"
+        assert len(registry._memo) <= MAX_MEMO
+        # The oldest renderings were dropped and render again correctly.
+        assert registry.textualize(Entity("gadget", (("value", "v0"),))) == "Type: Gadget | v0"
+        assert len(registry._memo) <= MAX_MEMO
+
+    def test_concurrent_readers_get_correct_strings(self, monkeypatch):
+        # A small bound makes the threads also race to drop the oldest entry.
+        monkeypatch.setattr("refkit.entity_textualizer.MAX_MEMO", 16)
+        entities = pool_entities() + [
+            Entity(t, props) for t, props, _ in REPRESENTATION_CORPUS
+        ] + [Entity("gadget", (("value", f"v{i}"),)) for i in range(20)]
+        expected = [RuleRegistry(DEFAULT_RULES).textualize(e) for e in entities]
+        registry = RuleRegistry(DEFAULT_RULES)
+        wrong = []
+
+        def read(seed):
+            order = list(range(len(entities)))
+            random.Random(seed).shuffle(order)
+            for _ in range(20):
+                for i in order:
+                    if registry.textualize(entities[i]) != expected[i]:
+                        wrong.append(i)
+
+        threads = [
+            threading.Thread(target=read, args=(seed,))
+            for seed in range(2 * (os.cpu_count() or 1) + 2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(registry._memo) <= 16 + len(threads)
 
 
 class TestRulesFile:

@@ -88,10 +88,13 @@ class TestBBox:
             lambda fields: BBox(0, 0, 1, 1)._replace(**dict(zip(BBox._fields, fields))),
             # A box forged past the checks is checked again when it is rebuilt.
             lambda fields: pickle.loads(pickle.dumps(tuple.__new__(BBox, fields))),
+            lambda fields: pickle.loads(pickle.dumps(tuple.__new__(BBox, fields), protocol=0)),
+            lambda fields: pickle.loads(pickle.dumps(tuple.__new__(BBox, fields), protocol=1)),
             lambda fields: copy.copy(tuple.__new__(BBox, fields)),
             lambda fields: copy.deepcopy(tuple.__new__(BBox, fields)),
         ],
-        ids=["constructor", "keywords", "make", "replace", "pickle", "copy", "deepcopy"],
+        ids=["constructor", "keywords", "make", "replace", "pickle", "pickle-0", "pickle-1",
+             "copy", "deepcopy"],
     )
     def test_every_construction_checks_fields(self, build, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -99,9 +102,11 @@ class TestBBox:
 
     @pytest.mark.parametrize(
         "round_trip",
-        [lambda box: pickle.loads(pickle.dumps(box)), copy.deepcopy, copy.copy,
-         lambda box: box._replace(), BBox._make],
-        ids=["pickle", "deepcopy", "copy", "replace", "make"],
+        [lambda box: pickle.loads(pickle.dumps(box)),
+         lambda box: pickle.loads(pickle.dumps(box, protocol=0)),
+         lambda box: pickle.loads(pickle.dumps(box, protocol=1)),
+         copy.deepcopy, copy.copy, lambda box: box._replace(), BBox._make],
+        ids=["pickle", "pickle-0", "pickle-1", "deepcopy", "copy", "replace", "make"],
     )
     def test_round_trips_keep_type_and_fields(self, round_trip):
         box = BBox(0.5, 1, 2, 3)
@@ -199,8 +204,18 @@ class TestInvariants:
             lambda obj: obj._replace(box=None),
             lambda obj: ScreenObject._make(["x\ny", obj.box]),
             lambda obj: ScreenObject._make(("a", None)),
+            # A screen object forged past the checks is checked again when it
+            # is unpickled, under every protocol.
+            lambda obj: pickle.loads(pickle.dumps(tuple.__new__(ScreenObject, ("x\ny", obj.box)))),
+            lambda obj: pickle.loads(
+                pickle.dumps(tuple.__new__(ScreenObject, ("x\ny", obj.box)), protocol=0)
+            ),
+            lambda obj: pickle.loads(
+                pickle.dumps(tuple.__new__(ScreenObject, ("x\ny", obj.box)), protocol=1)
+            ),
         ],
-        ids=["replace-text", "replace-box", "make-text", "make-box"],
+        ids=["replace-text", "replace-box", "make-text", "make-box", "pickle", "pickle-0",
+             "pickle-1"],
     )
     def test_replace_and_make_check_fields(self, build):
         with pytest.raises(ValueError):
@@ -208,8 +223,11 @@ class TestInvariants:
 
     @pytest.mark.parametrize(
         "round_trip",
-        [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy, copy.copy],
-        ids=["pickle", "deepcopy", "copy"],
+        [lambda obj: pickle.loads(pickle.dumps(obj)),
+         lambda obj: pickle.loads(pickle.dumps(obj, protocol=0)),
+         lambda obj: pickle.loads(pickle.dumps(obj, protocol=1)),
+         copy.deepcopy, copy.copy],
+        ids=["pickle", "pickle-0", "pickle-1", "deepcopy", "copy"],
     )
     def test_screen_object_round_trips(self, round_trip):
         obj = ScreenObject("a", BBox(0.5, 1, 2, 3))
@@ -564,3 +582,93 @@ class TestDatasetCodec:
         first = record["entities"][0]
         assert first["box"] == [40, 390, 120, 20]
         assert all(set(o) == {"text", "box"} for o in record["screen"])
+
+
+def conversational_lines(*entity_lists: list) -> str:
+    """One conversational record per list of entity records."""
+    return "".join(
+        json.dumps({"request": "r", "kind": "conversational", "entities": entities,
+                    "ground_truth": []}) + "\n"
+        for entities in entity_lists
+    )
+
+
+class TestEntitySharing:
+    def test_equal_records_share_one_entity(self):
+        person = {"type": "person", "properties": [["name", "Ana"]]}
+        named = dict(person, display_text="Ana")
+        first, second = parse_dataset(
+            conversational_lines([person, named], [dict(person), dict(named), person])
+        )
+        assert first.entities[0] is second.entities[0] is second.entities[2]
+        assert first.entities[1] is second.entities[1]
+        # Records that differ in display_text are distinct entities.
+        assert first.entities[0] != first.entities[1]
+
+    def test_property_order_distinguishes_records(self):
+        ab = {"type": "t", "properties": [["a", "1"], ["b", "2"]]}
+        ba = {"type": "t", "properties": [["b", "2"], ["a", "1"]]}
+        first, second = parse_dataset(conversational_lines([ab], [ba]))
+        assert first.entities[0] is not second.entities[0]
+        assert first.entities[0].properties == (("a", "1"), ("b", "2"))
+        assert second.entities[0].properties == (("b", "2"), ("a", "1"))
+
+    def test_onscreen_records_not_shared(self):
+        first, second = parse_dataset(good_then_bad(("request",), "open it"))
+        assert first.entities[0] == second.entities[0]
+        assert first.entities[0] is not second.entities[0]
+
+    def test_nothing_shared_between_calls(self):
+        text = conversational_lines([{"type": "person", "properties": [["name", "Ana"]]}])
+        assert parse_dataset(text)[0].entities[0] is not parse_dataset(text)[0].entities[0]
+
+    @pytest.mark.parametrize(
+        "entity, message",
+        [
+            ({"type": "t", "properties": ["ab"]},
+             "properties must be [key, value] pairs of strings, got ['ab']"),
+            ({"type": "t", "properties": [{"a": "1", "b": "2"}]},
+             "properties must be [key, value] pairs of strings, got [{'a': '1', 'b': '2'}]"),
+            ({"type": "t", "properties": {"a": "b"}},
+             "properties must be an array of pairs, got {'a': 'b'}"),
+            ({"type": "t", "properties": [["a", ["b"]]]},
+             "properties must be [key, value] pairs of strings, got [['a', ['b']]]"),
+            ({"type": 5, "properties": [["a", "b"]]}, "entity type must be a string, got 5"),
+            ({"type": ["t"], "properties": [["a", "b"]]},
+             "entity type must be a string, got ['t']"),
+            ({"type": "t", "display_text": ["x"], "properties": [["a", "b"]]},
+             "display_text must be a string, got ['x']"),
+        ],
+        ids=["pair-string", "pair-object", "properties-object", "nested-value", "int-type",
+             "array-type", "array-display-text"],
+    )
+    def test_shared_entity_never_stands_for_a_bad_record(self, entity, message):
+        # Each bad record reads, or hashes, like the valid one before it.
+        valid = {"type": "t", "properties": [["a", "b"]]}
+        with pytest.raises(DatasetError, match=f"^{re.escape(f'line 2: {message}')}$"):
+            parse_dataset(conversational_lines([valid], [entity]))
+
+    def test_one_build_per_distinct_record(self, monkeypatch):
+        from refkit import generate_datapoints, load_templates
+        from refkit.synth_datagen import bundled_template_dir
+        from refkit.value_bank import pool_entities
+
+        rows = []
+        for seed, (template, slots) in enumerate(load_templates(bundled_template_dir())):
+            pool = pool_entities(exclude_types=slots.ground_truth_types)
+            rows.extend(generate_datapoints(template, slots, pool, seed=seed, max_samples=20))
+        text = format_dataset(rows)
+        records = [entity for line in text.splitlines() for entity in json.loads(line)["entities"]]
+        distinct = {json.dumps(entity) for entity in records}
+        builds = 0
+        check = Entity.__post_init__
+
+        def counting(entity):
+            nonlocal builds
+            builds += 1
+            check(entity)
+
+        monkeypatch.setattr(Entity, "__post_init__", counting)
+        assert parse_dataset(text) == rows
+        assert len(records) > 4 * len(distinct)
+        assert 0 < builds <= len(distinct)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from refkit.synth_datagen import (
     load_templates,
     placeholders,
 )
-from refkit.value_bank import pool_entities
+from refkit.value_bank import VALUE_BANK, pool_entities, sample_entity
 
 
 def share_template():
@@ -158,6 +159,26 @@ class TestGeneration:
         template, slots = share_template()
         pool = pool_entities(exclude_types=slots.ground_truth_types)
         assert all(dp.kind == "synthetic" for dp in generate_datapoints(template, slots, pool))
+
+
+class TestValueBank:
+    def test_bank_entities_are_shared(self):
+        pool = pool_entities()
+        assert len(pool) == sum(map(len, VALUE_BANK.values()))
+        assert all(a is b for a, b in zip(pool, pool_entities(exclude_types=())))
+        rng = random.Random(0)
+        for type_name in VALUE_BANK:
+            drawn = sample_entity(type_name, rng)
+            assert any(drawn is entity for entity in pool)
+
+    def test_other_type_names_build_their_own(self):
+        # Another case of a bank key draws the same entry under its own name.
+        upper = sample_entity("Person", random.Random(3))
+        lower = sample_entity("person", random.Random(3))
+        assert upper.entity_type == "Person" and upper.properties == lower.properties
+        unknown = sample_entity("gizmo", random.Random(0))
+        assert unknown.entity_type == "gizmo"
+        assert unknown.properties[0][1].startswith("gizmo ")
 
 
 class TestTemplateFiles:
