@@ -186,6 +186,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked(convert, holds, requirement: str):
+    """An argparse type: `convert` the flag's text, then require `holds`.
+
+    argparse reports a failure as a usage error that names the flag, so a bad
+    number stops at the command line instead of deep inside a library call.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+# Each test is written so that NaN, which compares false both ways, fails it.
+_non_negative_float = _checked(float, lambda value: value >= 0, ">= 0")
+_positive_float = _checked(float, lambda value: value > 0, "> 0")
+_non_negative_int = _checked(int, lambda value: value >= 0, ">= 0")
+_positive_int = _checked(int, lambda value: value >= 1, ">= 1")
+
+
 def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy",
@@ -195,7 +220,7 @@ def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--margin",
-        type=float,
+        type=_non_negative_float,
         default=None,
         help="same-line tolerance in screen units (default: half median height)",
     )
@@ -213,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--input", required=True, help="dataset JSONL file")
     encode.add_argument("--output", default=None, help="output JSONL file (default: stdout)")
     _add_encoder_flags(encode)
-    encode.add_argument("--eps", type=float, default=None, help="cluster distance threshold")
-    encode.add_argument("--min-pts", type=int, default=1, help="cluster density minimum")
+    encode.add_argument("--eps", type=_positive_float, default=None, help="cluster distance threshold")
+    encode.add_argument("--min-pts", type=_positive_int, default=1, help="cluster density minimum")
     encode.set_defaults(func=cmd_encode)
 
     generate = sub.add_parser("generate", help="expand templates into a labeled dataset")
@@ -222,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", default=None, help="template YAML file or directory (default: bundled)"
     )
     generate.add_argument("--output", required=True, help="dataset JSONL file to write")
-    generate.add_argument("--negatives", type=int, default=3, help="negatives per query")
+    generate.add_argument("--negatives", type=_non_negative_int, default=3, help="negatives per query")
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument(
-        "--max-samples", type=int, default=None, help="cap the expansion per template"
+        "--max-samples", type=_non_negative_int, default=None, help="cap the expansion per template"
     )
     generate.set_defaults(func=cmd_generate)
 
@@ -250,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--name", default="run", help="row label for the report")
     evaluate.add_argument("--rules", default=None, help="extra textualization rules YAML")
-    evaluate.add_argument("--workers", type=int, default=1, help="parallel resolver calls")
+    evaluate.add_argument("--workers", type=_positive_int, default=1, help="parallel resolver calls")
     _add_encoder_flags(evaluate)
     evaluate.set_defaults(func=cmd_evaluate)
 

@@ -325,7 +325,7 @@ def encode_clusters(
         entity_eps = eps
         if own:
             if eps is None:
-                entity_eps = median_height(table[n] for n in own) or 1.0
+                entity_eps = median_height(table[n].box for n in own) or 1.0
             _check_parameters(entity_eps, min_pts)
         object_sets.append((own, entity_eps))
 

@@ -8,15 +8,20 @@ Entities are injected into the object set as numbered `{{i. text}}` markers
 so a downstream model can name them by index. The separators and the marker
 form are fixed; only the margin and the marker injection are configurable.
 
-Each stage is one pass over the objects and the only implementation of its
-step; `encode_screen` just chains them. Objects travel as `PlacedObject`
-tuples, and the sort and the grouping compute box centres inline with the
-same float expressions as `bbox_center`, so the order and the lines are
-exactly those the geometry helpers define.
+Each step has one private implementation over parallel lists: the texts,
+the boxes, the box centres (each computed once, with the same float
+expressions as `bbox_center`) and the reading order as a list of
+positions. `encode_screen` chains those steps directly, so encoding a screen
+builds a few lists and one string per line rather than an object per text
+box. The public stages (`collect_objects`, `sort_objects`, `group_levels`,
+`render_parse`) are thin adapters that run the same steps over
+`PlacedObject` and `Level` values.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .screen_model import BBox, Entity, ScreenObject, median_height, unique_objects
@@ -41,8 +46,9 @@ class EncoderConfig:
     inject_markers: bool = True
 
     def __post_init__(self) -> None:
-        if self.margin is not None and self.margin < 0:
-            raise ValueError("margin must be >= 0")
+        # Written so that NaN, which compares false both ways, fails too.
+        if self.margin is not None and not self.margin >= 0:
+            raise ValueError(f"margin must be >= 0, got {self.margin!r}")
 
 
 class PlacedObject(NamedTuple):
@@ -77,6 +83,119 @@ def marker_text(index: int, display_text: str) -> str:
     return f"{{{{{index}. {display_text}}}}}"
 
 
+# --- the steps ----------------------------------------------------------------
+
+
+def _collect(
+    screen: Sequence[ScreenObject], entities: Sequence[Entity], inject_markers: bool
+) -> tuple[list[str], list[BBox], int]:
+    """The texts and boxes to render, as parallel lists, plus the position of
+    the first entity marker (the list length when there is none).
+
+    Plain objects come first, deduplicated by (text, box) in first-seen
+    order, without those sitting at an entity's own box; then one entry per
+    entity, in entity order, so the entry at position p >= first_marker is
+    the marker of entity p - first_marker + 1.
+    """
+    for position, entity in enumerate(entities, 1):
+        if entity.placement is None:
+            raise ValueError(f"entity {position} has no placement")
+
+    plain = unique_objects(screen, *(entity.placement.surrounding for entity in entities))
+    entity_boxes = {entity.placement.box for entity in entities}
+    texts = []
+    boxes = []
+    for text, box in plain:
+        if box not in entity_boxes:
+            texts.append(text)
+            boxes.append(box)
+    first_marker = len(texts) if inject_markers else len(texts) + len(entities)
+    for index, entity in enumerate(entities, 1):
+        display = entity.display_text
+        texts.append(marker_text(index, display) if inject_markers else display)
+        boxes.append(entity.placement.box)
+    return texts, boxes, first_marker
+
+
+def _centers(boxes: Iterable[BBox]) -> tuple[list[float], list[float]]:
+    """Each box's center x and center y, as `bbox_center` computes them."""
+    center_xs = []
+    center_ys = []
+    for left, top, width, height in boxes:
+        center_xs.append(left + width / 2)
+        center_ys.append(top + height / 2)
+    return center_xs, center_ys
+
+
+def _reading_order(center_xs: list[float], center_ys: list[float]) -> list[int]:
+    """Positions sorted by (center_y, center_x, position).
+
+    Two stable sorts of plain positions on float keys: by center x, then by
+    center y, which keeps the x order (and then the input order) within
+    equal y.
+    """
+    order = sorted(range(len(center_ys)), key=center_xs.__getitem__)
+    order.sort(key=center_ys.__getitem__)
+    return order
+
+
+def _group(
+    order: Iterable[int], center_ys: Sequence[float], margin: float, first_marker: int
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The anchor sweep of `group_levels` over the positions `order` lists
+    in reading order. Returns where each level starts, counted in reading
+    order, and the (reading position, entity index) of every position at or
+    past first_marker.
+    """
+    starts: list[int] = []
+    marks: list[tuple[int, int]] = []
+    anchor = None
+    for rank, position in enumerate(order):
+        center_y = center_ys[position]
+        if anchor is None or abs(center_y - anchor) > margin:
+            starts.append(rank)
+            anchor = center_y
+        if position >= first_marker:
+            marks.append((rank, position - first_marker + 1))
+    return starts, marks
+
+
+def _render(
+    texts: Sequence[str], starts: list[int], marks: Sequence[tuple[int, int]]
+) -> OnscreenParse:
+    """Join the texts (in reading order) of each level with a tab and the
+    levels with a newline; marks gives the (reading position, entity index)
+    of each member whose span to record, in reading order."""
+    ends = starts[1:]
+    ends.append(len(texts))
+    lines = [SAME_LINE_SEPARATOR.join(texts[start:end]) for start, end in zip(starts, ends)]
+    spans = []
+    if marks:
+        line_lengths = list(accumulate(map(len, lines), initial=0))
+        level = -1
+        for rank, entity_index in marks:
+            # The last level starting at or before rank; any before it that
+            # start there too are empty.
+            found = bisect_right(starts, rank) - 1
+            if found != level:
+                level, cursor = found, starts[found]
+                offset = line_lengths[found] + found * len(LINE_SEPARATOR)
+            # offset is where the text at reading position cursor starts.
+            offset += sum(map(len, texts[cursor:rank]))
+            offset += (rank - cursor) * len(SAME_LINE_SEPARATOR)
+            cursor = rank
+            spans.append((entity_index, (offset, offset + len(texts[rank]))))
+    return OnscreenParse(LINE_SEPARATOR.join(lines), tuple(spans))
+
+
+def _default_margin(boxes: Iterable[BBox]) -> float:
+    """Scale-free same-line tolerance: half the median box height."""
+    return 0.5 * median_height(boxes)
+
+
+# --- the public stages, each an adapter over its step --------------------------
+
+
 def collect_objects(
     screen: Sequence[ScreenObject],
     entities: Sequence[Entity],
@@ -90,44 +209,19 @@ def collect_objects(
     an entity never appears twice in the parse.
     """
     config = config or EncoderConfig()
-    for position, entity in enumerate(entities, 1):
-        if entity.placement is None:
-            raise ValueError(f"entity {position} has no placement")
-
-    plain = unique_objects(screen, *(entity.placement.surrounding for entity in entities))
-    entity_boxes = {entity.placement.box for entity in entities}
-    collected = [
-        PlacedObject(obj.text, obj.box)
-        for obj in plain
-        if obj.box not in entity_boxes
-    ]
-    for index, entity in enumerate(entities, 1):
-        if config.inject_markers:
-            collected.append(
-                PlacedObject(
-                    marker_text(index, entity.display_text),
-                    entity.placement.box,
-                    entity_index=index,
-                )
-            )
-        else:
-            collected.append(PlacedObject(entity.display_text, entity.placement.box))
-    return collected
+    texts, boxes, first_marker = _collect(screen, entities, config.inject_markers)
+    indexes = [None] * first_marker + list(range(1, len(texts) - first_marker + 1))
+    return list(map(PlacedObject, texts, boxes, indexes))
 
 
 def sort_objects(objects: Iterable[PlacedObject]) -> list[PlacedObject]:
     """Order objects top-to-bottom, breaking center-y ties left-to-right.
 
-    One stable sort keyed on the center (y, x), so the order is lexicographic
-    (center_y, center_x, input position). The key is `bbox_center` reversed,
-    spelled out with the same float expressions.
+    The order is lexicographic (center_y, center_x, input position).
     """
-    return sorted(objects, key=_center_yx)
-
-
-def _center_yx(obj: PlacedObject) -> tuple[float, float]:
-    box = obj.box
-    return box.top + box.height / 2, box.left + box.width / 2
+    objects = list(objects)
+    order = _reading_order(*_centers([obj.box for obj in objects]))
+    return list(map(objects.__getitem__, order))
 
 
 def group_levels(sorted_objects: Sequence[PlacedObject], margin: float) -> list[Level]:
@@ -138,51 +232,32 @@ def group_levels(sorted_objects: Sequence[PlacedObject], margin: float) -> list[
     the next level. Membership does not chain: an object just inside the
     margin does not stretch the level to fit objects beyond it.
     """
-    levels: list[Level] = []
-    anchor_y: float | None = None
-    members: list[PlacedObject] = []
-    for obj in sorted_objects:
-        box = obj.box
-        center_y = box.top + box.height / 2  # bbox_center(box).y
-        if anchor_y is None or abs(center_y - anchor_y) > margin:
-            if members:
-                levels.append(Level(anchor_y, tuple(members)))
-            anchor_y = center_y
-            members = [obj]
-        else:
-            members.append(obj)
-    if members:
-        levels.append(Level(anchor_y, tuple(members)))
-    return levels
+    objects = list(sorted_objects)
+    _, center_ys = _centers([obj.box for obj in objects])
+    starts, _ = _group(range(len(objects)), center_ys, margin, len(objects))
+    ends = starts[1:] + [len(objects)]
+    return [
+        Level(center_ys[start], tuple(objects[start:end]))
+        for start, end in zip(starts, ends)
+    ]
 
 
 def render_parse(levels: Sequence[Level]) -> OnscreenParse:
     """Join level members with a tab and levels with a newline, recording the
-    span of every member that has an entity_index.
-
-    Each level is joined in one call; offsets are walked only on levels
-    that hold such a member.
-    """
-    lines: list[str] = []
-    spans: list[tuple[int, tuple[int, int]]] = []
-    offset = 0
-    for level in levels:
-        members = level.members
-        line = SAME_LINE_SEPARATOR.join([obj.text for obj in members])
-        if any(obj.entity_index is not None for obj in members):
-            start = offset
-            for text, _, entity_index in members:
-                if entity_index is not None:
-                    spans.append((entity_index, (start, start + len(text))))
-                start += len(text) + len(SAME_LINE_SEPARATOR)
-        lines.append(line)
-        offset += len(line) + len(LINE_SEPARATOR)
-    return OnscreenParse(LINE_SEPARATOR.join(lines), tuple(spans))
+    span of every member that has an entity_index."""
+    members = [obj for level in levels for obj in level.members]
+    starts = list(accumulate((len(level.members) for level in levels), initial=0))[:-1]
+    marks = [
+        (rank, obj.entity_index)
+        for rank, obj in enumerate(members)
+        if obj.entity_index is not None
+    ]
+    return _render([obj.text for obj in members], starts, marks)
 
 
 def default_margin(objects: Sequence[PlacedObject]) -> float:
     """Scale-free same-line tolerance: half the median object height."""
-    return 0.5 * median_height(objects)
+    return _default_margin(obj.box for obj in objects)
 
 
 def encode_screen(
@@ -192,7 +267,9 @@ def encode_screen(
 ) -> OnscreenParse:
     """Full encoding: collect, sort, group by margin, render."""
     config = config or EncoderConfig()
-    objects = collect_objects(screen, entities, config)
-    margin = config.margin if config.margin is not None else default_margin(objects)
-    levels = group_levels(sort_objects(objects), margin)
-    return render_parse(levels)
+    texts, boxes, first_marker = _collect(screen, entities, config.inject_markers)
+    center_xs, center_ys = _centers(boxes)
+    margin = config.margin if config.margin is not None else _default_margin(boxes)
+    order = _reading_order(center_xs, center_ys)
+    starts, marks = _group(order, center_ys, margin, first_marker)
+    return _render(list(map(texts.__getitem__, order)), starts, marks)

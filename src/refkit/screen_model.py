@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from statistics import median
 from typing import IO, Iterable, NamedTuple
 
@@ -256,12 +257,12 @@ class DataPoint:
 
 def unique_objects(*groups: Iterable[ScreenObject]) -> list[ScreenObject]:
     """The objects of all groups in order, deduplicated by (text, box)."""
-    return list(dict.fromkeys(obj for group in groups for obj in group))
+    return list(dict.fromkeys(chain.from_iterable(groups)))
 
 
-def median_height(objects: Iterable) -> float:
-    """Median `box.height` of the objects; 0.0 when there are none."""
-    heights = [obj.box.height for obj in objects]
+def median_height(boxes: Iterable[BBox]) -> float:
+    """Median height of the boxes; 0.0 when there are none."""
+    heights = [box.height for box in boxes]
     return median(heights) if heights else 0.0
 
 

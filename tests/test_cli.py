@@ -233,3 +233,33 @@ class TestStrategyValidation:
     def test_evaluate_rejects_cluster(self, capsys):
         assert main(["evaluate", "--input", REALTOR, "--oracle", "--strategy", "cluster"]) == 1
         assert "encode-only" in capsys.readouterr().err
+
+
+
+CLUSTER = ["encode", "--input", BRANCHES, "--strategy", "cluster"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["encode", "--input", REALTOR], "--margin", "-1"),
+        (["encode", "--input", REALTOR], "--margin", "nan"),
+        (["prompt", "--input", REALTOR], "--margin", "nan"),
+        (CLUSTER, "--eps", "nan"),
+        (CLUSTER, "--eps", "-1"),
+        (CLUSTER, "--eps", "0"),
+        (CLUSTER, "--min-pts", "0"),
+        (["generate", "--output", "{out}"], "--negatives", "-1"),
+        (["generate", "--output", "{out}"], "--max-samples", "-1"),
+        (["evaluate", "--input", RAINBOW, "--oracle"], "--workers", "0"),
+        (["evaluate", "--input", RAINBOW, "--oracle"], "--workers", "two"),
+    ],
+    ids=lambda param: param[0] if isinstance(param, list) else param,
+)
+def test_bad_numeric_flag_is_a_usage_error(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(SystemExit) as stopped:
+        main([arg.format(out=out) for arg in command] + [flag, value])
+    assert stopped.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()

@@ -445,7 +445,7 @@ class TestAssign:
         for datapoint in parse_dataset(benchmark_input("cluster-encode")):
             for entity in datapoint.entities:
                 objects = unique_objects(entity.placement.surrounding, datapoint.screen)
-                clusters = dbscan_cluster(objects, median_height(objects) or 1.0)
+                clusters = dbscan_cluster(objects, median_height(o.box for o in objects) or 1.0)
                 assignments.append((entity, clusters, min_over_members(entity, clusters)))
         calls = 0
         exact = cluster_encoder.rect_distance
@@ -471,7 +471,7 @@ def per_entity_encodings(screen, entities, eps=None, min_pts=1):
         objects = unique_objects(entity.placement.surrounding, screen)
         clusters = []
         if objects:
-            entity_eps = (median_height(objects) or 1.0) if eps is None else eps
+            entity_eps = (median_height(o.box for o in objects) or 1.0) if eps is None else eps
             clusters = dbscan_cluster(objects, entity_eps, min_pts)
         encodings.append(build_cluster_encoding(index, entity, clusters))
     return encodings

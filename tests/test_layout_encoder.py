@@ -44,13 +44,17 @@ def random_objects(rng: random.Random, n: int) -> list[PlacedObject]:
 
 def reference_group_levels(sorted_objects, margin):
     """Independent anchor sweep: slice off the prefix within margin of the
-    first remaining object's center, repeat."""
+    first remaining object's center, repeat.
+
+    "Within" is "not farther than": when two centers overflow to inf, their
+    distance is NaN, and such an object joins the current level.
+    """
     remaining = list(sorted_objects)
     levels = []
     while remaining:
         anchor = bbox_center(remaining[0].box).y
-        taken = []
-        while remaining and abs(bbox_center(remaining[0].box).y - anchor) <= margin:
+        taken = [remaining.pop(0)]
+        while remaining and not abs(bbox_center(remaining[0].box).y - anchor) > margin:
             taken.append(remaining.pop(0))
         levels.append((anchor, taken))
     return levels
@@ -244,6 +248,16 @@ class TestRender:
         assert parse.text == "a\tplain\n{{x}}\tb"
         assert parse.marker_spans == ((3, (2, 7)), (0, (8, 13)))
 
+    def test_empty_level_renders_an_empty_line(self):
+        levels = [
+            Level(0.0, (obj("a", 0, 0),)),
+            Level(5.0, ()),
+            Level(9.0, (obj("b", 0, 8), PlacedObject("{{1. c}}", BBox(20, 8, 10, 2), 1))),
+        ]
+        parse = render_parse(levels)
+        assert parse.text == "a\n\nb\t{{1. c}}"
+        assert parse.marker_spans == ((1, (5, 13)),)
+
     def test_separator_counts(self):
         rng = random.Random(2)
         for _ in range(25):
@@ -332,10 +346,23 @@ def reference_encode(screen, entities, config):
     return text, tuple(spans)
 
 
-# Mostly few distinct coordinates, so centers tie, boxes repeat and heights
-# are 0; sometimes any float, whose center may round.
-grid = st.integers(0, 6).map(lambda k: k * 2.5) | st.floats(0, 50)
-grid_boxes = st.builds(BBox, grid, grid, grid, grid)
+# Coordinates near the float limit: a center of such a box can overflow to
+# inf (extents are never negative, so never to -inf).
+HUGE = (1.7e308, 1e308)
+# Mostly few distinct values, so centers tie, boxes repeat and heights are 0;
+# sometimes any float, whose center may round; sometimes a negative zero or
+# a value near the float limit.
+grid = st.integers(0, 6).map(lambda k: k * 2.5)
+extents = grid | st.floats(0, 50) | st.sampled_from((-0.0, *HUGE))
+positions = (
+    grid
+    | grid.map(lambda value: -value)
+    | st.floats(-50, 50)
+    | st.sampled_from((-0.0, *HUGE, *(-value for value in HUGE)))
+)
+grid_boxes = st.builds(BBox, positions, positions, extents, extents) | st.builds(
+    BBox, positions, st.sampled_from(HUGE), extents, st.sampled_from(HUGE)
+)
 grid_objects = st.builds(ScreenObject, st.sampled_from(["a", "b", "cd"]), grid_boxes)
 
 
@@ -371,7 +398,49 @@ class TestReferenceEquivalence:
                 assert parse.text[start:end] == marker_text(index, display)
 
 
+    def test_large_seeded_scene_matches_reference(self):
+        # About 2,000 objects on few distinct coordinates, so many centers
+        # tie; a few sit at entity boxes or repeat through surroundings.
+        rng = random.Random(2000)
+
+        def box():
+            return BBox(
+                rng.randrange(-20, 40) * 2.5,
+                rng.randrange(-20, 200) * 2.5,
+                rng.randrange(0, 8) * 5.0,
+                rng.choice((0.0, 10.0, 15.0, 20.0)),
+            )
+
+        screen = [ScreenObject(f"o{rng.randrange(300)}", box()) for _ in range(2000)]
+        entities = [
+            Entity(
+                "general text",
+                (),
+                display_text=f"e{number}",
+                placement=Placement(
+                    rng.choice(screen).box if number % 2 else box(),
+                    tuple(rng.sample(screen, 5)),
+                ),
+            )
+            for number in range(12)
+        ]
+        for config in (
+            EncoderConfig(),
+            EncoderConfig(margin=0.0),
+            EncoderConfig(margin=7.5, inject_markers=False),
+        ):
+            parse = encode_screen(screen, entities, config)
+            assert parse.text.count("\n") > 50
+            assert (parse.text, parse.marker_spans) == reference_encode(screen, entities, config)
+
+
 class TestConfigValidation:
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             EncoderConfig(margin=-1)
+
+    def test_nan_margin_rejected(self):
+        # NaN is not < 0, yet no center is ever more than NaN apart, so it
+        # would put every object on one line.
+        with pytest.raises(ValueError, match="margin"):
+            EncoderConfig(margin=float("nan"))
