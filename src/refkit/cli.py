@@ -24,7 +24,7 @@ from .eval_harness import (
 )
 from .layout_encoder import EncoderConfig, encode_screen
 from .prompt_builder import prompt_for_datapoint
-from .screen_model import DatasetError, load_dataset, save_dataset
+from .screen_model import DataPoint, DatasetError, load_dataset, save_dataset
 from .synth_datagen import (
     TemplateError,
     bundled_template_dir,
@@ -127,10 +127,26 @@ def _require_injected(args: argparse.Namespace) -> bool:
     return True
 
 
+def _load_promptable(path: str) -> list[DataPoint]:
+    """The dataset at `path`, checked whole before any prompt is built.
+
+    Every prompt needs at least one candidate entity, so a record without
+    any is a DatasetError. Records are numbered from 0, as the `id` of
+    `prompt`'s output numbers them.
+    """
+    datapoints = load_dataset(path)
+    for record_id, datapoint in enumerate(datapoints):
+        if not datapoint.entities:
+            raise DatasetError(
+                f"record {record_id}: no candidate entities; a prompt needs at least one"
+            )
+    return datapoints
+
+
 def cmd_prompt(args: argparse.Namespace) -> int:
     if not _require_injected(args):
         return 1
-    datapoints = load_dataset(args.input)
+    datapoints = _load_promptable(args.input)
     config = _encoder_config(args)
     registry = _registry(args)
     with _open_output(args.output) as out:
@@ -164,7 +180,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         print("error: pass --oracle, --stub, or --endpoint", file=sys.stderr)
         return 1
-    datapoints = load_dataset(args.input)
+    datapoints = _load_promptable(args.input)
     try:
         report = evaluate_dataset(
             datapoints,
@@ -265,11 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="score a resolver over a dataset")
     evaluate.add_argument("--input", required=True, help="dataset JSONL file")
     evaluate.add_argument("--output", default=None, help="write the report JSON here")
-    evaluate.add_argument("--endpoint", default=None, help="resolver HTTP endpoint")
-    evaluate.add_argument(
+    # One resolver per run: naming two is a usage error, not a silent choice.
+    resolver = evaluate.add_mutually_exclusive_group()
+    resolver.add_argument("--endpoint", default=None, help="resolver HTTP endpoint")
+    resolver.add_argument(
         "--oracle", action="store_true", help="use the ground-truth oracle resolver"
     )
-    evaluate.add_argument(
+    resolver.add_argument(
         "--stub", default=None, help="use a constant resolver answering this string"
     )
     evaluate.add_argument("--seed", type=int, default=0)

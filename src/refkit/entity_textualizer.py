@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import yaml
-
 from .screen_model import Entity
 
 _TYPE_JOIN = " | "
@@ -261,6 +259,10 @@ def load_rules(path: str, base: RuleRegistry | None = None) -> RuleRegistry:
     entries may override them. Every fault raises RuleError naming the file
     and, where there is one, the 0-based entry.
     """
+    # Imported here, not at module level, so commands that read no YAML
+    # start without loading the parser.
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = yaml.safe_load(handle)

@@ -13,11 +13,8 @@ import random
 import re
 import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
-
-import requests
 
 from .entity_textualizer import RuleRegistry
 from .layout_encoder import EncoderConfig
@@ -157,6 +154,10 @@ class RemoteResolver:
         self.max_tokens = max_tokens
 
     def resolve(self, prompt: Prompt, datapoint: DataPoint) -> str:
+        # Imported on first use, so a run that never calls out loads no HTTP
+        # stack; before the try, so its except clause can always name it.
+        import requests
+
         headers = {}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
@@ -285,6 +286,8 @@ def evaluate_dataset(
         return datapoint.kind, "wrong" if prediction.valid else "invalid"
 
     if max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             outcomes = list(pool.map(evaluate_item, datapoints))
     else:

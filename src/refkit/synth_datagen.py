@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import yaml
-
 from .screen_model import DataPoint, Entity
 from .value_bank import sample_entity
 
@@ -209,6 +207,10 @@ def load_template_file(path: str | Path) -> list[tuple[LanguageTemplate, SlotLis
     sections: variations, slots, ground_truth_types, and an optional id
     (defaults to the file stem).
     """
+    # Imported here, not at module level, so commands that read no YAML
+    # start without loading the parser.
+    import yaml
+
     path = Path(path)
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))

@@ -219,6 +219,59 @@ class TestEvaluate:
         assert main(["evaluate", "--input", RAINBOW]) == 1
         assert "oracle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["--oracle"], ["--endpoint", "http://127.0.0.1:1/"]),
+            (["--stub", "0"], ["--endpoint", "http://127.0.0.1:1/"]),
+            (["--oracle"], ["--stub", "0"]),
+        ],
+        ids=["oracle-endpoint", "stub-endpoint", "oracle-stub"],
+    )
+    def test_two_resolvers_is_a_usage_error(self, first, second, tmp_path, capsys):
+        # Taking the first flag found used to score the oracle at 100%.
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as stopped:
+            main(["evaluate", "--input", RAINBOW, "--output", str(report), *first, *second])
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert first[0] in err and second[0] in err and "not allowed" in err
+        assert not report.exists()
+
+
+NO_ENTITIES = {
+    "conversational": {
+        "request": "Call it", "kind": "conversational", "entities": [], "ground_truth": []
+    },
+    "onscreen": {
+        "request": "Tap it", "kind": "onscreen", "entities": [], "ground_truth": [],
+        "screen": [{"text": "Hello", "box": [0, 0, 10, 10]}],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NO_ENTITIES))
+@pytest.mark.parametrize("command", [["prompt"], ["evaluate", "--oracle"]], ids=lambda c: c[0])
+def test_record_without_entities_is_diagnosed(kind, command, tmp_path, capsys):
+    # Such a record loads, and building its prompt used to end in a traceback.
+    with open(RAINBOW, encoding="utf-8") as handle:
+        good = handle.read()
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(good + json.dumps(NO_ENTITIES[kind]) + "\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main([*command, "--input", str(dataset), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: record 1: ") and "entities" in err
+    assert not out.exists()
+
+
+def test_encode_keeps_screen_only_records(tmp_path):
+    dataset = tmp_path / "screen.jsonl"
+    dataset.write_text(json.dumps(NO_ENTITIES["onscreen"]) + "\n", encoding="utf-8")
+    out = tmp_path / "parses.jsonl"
+    assert main(["encode", "--input", str(dataset), "--output", str(out)]) == 0
+    assert read_jsonl(out) == [{"id": 0, "parse_text": "Hello"}]
+
 
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
