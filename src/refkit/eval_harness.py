@@ -36,7 +36,8 @@ class ResolverError(RuntimeError):
 
 
 class EvaluationError(RuntimeError):
-    """The run as a whole failed (too many transport failures)."""
+    """The run as a whole failed: an item cannot be prompted, or too many
+    transport failures."""
 
 
 @dataclass(frozen=True)
@@ -262,9 +263,16 @@ def evaluate_dataset(
     Transport failures mark the item incorrect and the run continues; the
     run itself fails only when more than MAX_FAILURE_RATE of items could not
     be resolved. With max_workers > 1 resolver calls fan out over a thread
-    pool; aggregation is order-independent either way.
+    pool; aggregation is order-independent either way. Every prompt needs a
+    candidate entity, so an item without one fails the run before the first
+    resolver call; items are numbered from 0.
     """
     datapoints = list(datapoints)
+    for position, datapoint in enumerate(datapoints):
+        if not datapoint.entities:
+            raise EvaluationError(
+                f"item {position}: no candidate entities; a prompt needs at least one"
+            )
 
     def evaluate_item(datapoint: DataPoint) -> tuple[str, str]:
         prompt = prompt_for_datapoint(

@@ -10,7 +10,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from statistics import median
 from typing import IO, Iterable, NamedTuple
 
 KINDS = ("conversational", "synthetic", "onscreen")
@@ -261,9 +260,19 @@ def unique_objects(*groups: Iterable[ScreenObject]) -> list[ScreenObject]:
 
 
 def median_height(boxes: Iterable[BBox]) -> float:
-    """Median height of the boxes; 0.0 when there are none."""
+    """Median height of the boxes; 0.0 when there are none.
+
+    The middle height, or the mean of the two middle ones for an even count,
+    as `statistics.median` computes it.
+    """
     heights = [box.height for box in boxes]
-    return median(heights) if heights else 0.0
+    if not heights:
+        return 0.0
+    heights.sort()
+    middle = len(heights) // 2
+    if len(heights) % 2:
+        return heights[middle]
+    return (heights[middle - 1] + heights[middle]) / 2
 
 
 # --- JSONL dataset codec ---------------------------------------------------
@@ -276,6 +285,25 @@ def _expect(value: object, field: str) -> list:
 
 
 def _box_from_json(value: object) -> BBox:
+    """The box a decoded JSON value holds, its numbers checked once.
+
+    Four floats with non-negative sizes and a finite sum already make a
+    valid box: a NaN fails `>= 0` or makes the sum NaN, and an infinity
+    makes it non-finite. Anything else (an int field, NaN, an infinity, a
+    negative size, a sum that overflows) takes the checked path.
+    """
+    if type(value) is list and len(value) == 4:
+        left, top, width, height = value
+        if (
+            type(left) is float
+            and type(top) is float
+            and type(width) is float
+            and type(height) is float
+            and width >= 0.0
+            and height >= 0.0
+            and math.isfinite(left + top + width + height)
+        ):
+            return tuple.__new__(BBox, value)
     if (
         type(value) is not list
         or len(value) != 4
@@ -290,9 +318,29 @@ def _object_to_json(obj: ScreenObject) -> dict:
 
 
 def _object_from_json(value: object) -> ScreenObject:
+    """The screen object a decoded JSON value holds, its text checked once.
+
+    A text that meets ScreenObject's conditions makes the tuple directly;
+    any other goes to the constructor, which names what is wrong.
+    """
     if not isinstance(value, dict):
         raise ValueError(f"screen object must be an object, got {value!r}")
-    return ScreenObject(value["text"], _box_from_json(value["box"]))
+    text = value["text"]
+    box = _box_from_json(value["box"])
+    if (
+        type(text) is str
+        and text
+        and "\n" not in text
+        and "\t" not in text
+        and "{{" not in text
+        and "}}" not in text
+    ):
+        return tuple.__new__(ScreenObject, (text, box))
+    return ScreenObject(text, box)
+
+
+def _objects_from_json(value: object, field: str) -> tuple[ScreenObject, ...]:
+    return tuple([_object_from_json(o) for o in _expect(value, field)])
 
 
 def _entity_to_json(entity: Entity) -> dict:
@@ -322,14 +370,14 @@ def _entity_from_json(value: object, shared: dict) -> Entity:
     if "box" in value:
         placement = Placement(
             box=_box_from_json(value["box"]),
-            surrounding=tuple(
-                _object_from_json(o)
-                for o in _expect(value.get("surrounding", []), "surrounding")
-            ),
+            surrounding=_objects_from_json(value.get("surrounding", []), "surrounding"),
         )
     entity_type = value["type"]
     properties = value.get("properties", ())
     display_text = value.get("display_text")
+    if placement is None and "surrounding" in value:
+        Entity(entity_type, properties, display_text)  # its own errors come first
+        raise ValueError("entity has surrounding objects but no box")
     if (
         placement is None
         and type(properties) is list
@@ -369,7 +417,7 @@ def datapoint_from_record(record: object, shared: dict) -> DataPoint:
             raise ValueError(f"record missing required field {key!r}")
     screen = None
     if "screen" in record:
-        screen = tuple(_object_from_json(o) for o in _expect(record["screen"], "screen"))
+        screen = _objects_from_json(record["screen"], "screen")
     return DataPoint(
         request=record["request"],
         entities=tuple(

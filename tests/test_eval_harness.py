@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from refkit import (
     ConstantResolver,
+    DataPoint,
     EvaluationError,
     load_dataset,
     OracleResolver,
@@ -189,6 +190,17 @@ class FlakyResolver:
         return "0"
 
 
+class CountingResolver:
+    """Counts its calls and answers 0."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def resolve(self, prompt, datapoint):
+        self.calls += 1
+        return "0"
+
+
 class TestEvaluateDataset:
     def test_oracle_full_accuracy(self):
         datapoints = small_synthetic_set()
@@ -252,6 +264,17 @@ class TestEvaluateDataset:
         report = evaluate_dataset(datapoints, ConstantResolver("banana"), seed=0)
         assert report.invalid == 5
         assert report.accuracy == 0.0
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_entity_less_item_rejected_before_any_call(self, max_workers):
+        datapoints = small_synthetic_set(4)
+        datapoints.insert(2, DataPoint("nothing to pick", (), kind="synthetic"))
+        resolver = CountingResolver()
+        with pytest.raises(
+            EvaluationError, match=r"^item 2: no candidate entities; a prompt needs at least one$"
+        ):
+            evaluate_dataset(datapoints, resolver, max_workers=max_workers)
+        assert resolver.calls == 0
 
 
 class TestReportShape:

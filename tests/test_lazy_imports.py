@@ -2,8 +2,9 @@
 
 `requests` is imported by `RemoteResolver.resolve`, `yaml` by the template
 and rule loaders, and `concurrent.futures` by `evaluate_dataset` with more
-than one worker. Each test runs a fresh interpreter, since this process has
-imported all of them already. Nothing here is timed.
+than one worker. `statistics` (which brings `fractions` and `decimal`) is
+not imported at all. Each test runs a fresh interpreter, since this process
+has imported all of them already. Nothing here is timed.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import pytest
 
 from conftest import DATA_DIR, REPO_DIR
 
-HEAVY = ("requests", "urllib3", "yaml", "concurrent.futures")
+HEAVY = ("requests", "urllib3", "yaml", "concurrent.futures", "statistics")
 RAINBOW = str(DATA_DIR / "rainbow.jsonl")
 RULES = str(DATA_DIR / "rainbow_rules.yaml")
 

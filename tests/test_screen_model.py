@@ -6,9 +6,10 @@ import math
 import pickle
 import random
 import re
+import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refkit import (
@@ -24,7 +25,7 @@ from refkit import (
     parse_dataset,
     save_dataset,
 )
-from refkit.screen_model import datapoint_to_record, format_dataset
+from refkit.screen_model import datapoint_to_record, format_dataset, median_height
 
 from conftest import (
     DATA_DIR,
@@ -131,6 +132,11 @@ class TestBBox:
             box.left = 5
         with pytest.raises(AttributeError):
             box.depth = 1
+
+    @given(st.lists(sizes | st.integers(0, 10**6), max_size=9))
+    def test_median_height_is_statistics_median(self, heights):
+        expected = statistics.median(heights) if heights else 0.0
+        assert repr(median_height(BBox(0, 0, 1, h) for h in heights)) == repr(expected)
 
 
 class TestInvariants:
@@ -311,6 +317,40 @@ json_records = st.lists(
     min_size=1,
     max_size=3,
 )
+
+
+# Box numbers and texts at the edges of the codec's unchecked path: signed
+# zeros, NaN, infinities, pairs of fields whose sum overflows, ints past the
+# float range, bools, strings, wrong lengths, and texts the constructor refuses.
+edge_numbers = (
+    st.sampled_from([0.0, -0.0, 1.5, -1.5, 1e308, -1e308, math.nan, math.inf, -math.inf])
+    | st.floats()
+    | st.integers()
+    | st.integers(10**308, 10**400)
+    | st.booleans()
+    | st.text(max_size=2)
+)
+edge_boxes = (
+    st.lists(edge_numbers, min_size=4, max_size=4)
+    | st.lists(edge_numbers, max_size=6)
+    | json_values
+)
+edge_texts = (
+    st.text(alphabet="ab\n\t{}", max_size=5)
+    | st.text()
+    | json_values
+)
+
+
+def checked_box(value: object) -> BBox:
+    """The box the constructor path makes of a decoded JSON value."""
+    if (
+        type(value) is not list
+        or len(value) != 4
+        or any(type(number) not in (int, float) for number in value)
+    ):
+        raise ValueError(f"box must be an array of 4 numbers, got {value!r}")
+    return BBox(*map(float, value))
 
 
 def onscreen_record() -> dict:
@@ -574,6 +614,68 @@ class TestDatasetCodec:
             parse_dataset(text)
         except DatasetError:
             pass
+
+    @settings(max_examples=300)
+    @given(edge_texts, edge_boxes)
+    @example("a", [0.0, -0.0, -0.0, 0.0])
+    @example("a", [math.nan, 0.0, 1.0, 1.0])
+    @example("a", [0.0, 0.0, math.nan, 1.0])
+    @example("a", [0.0, math.inf, 1.0, 1.0])
+    @example("a", [-math.inf, 0.0, 1.0, 1.0])
+    @example("a", [0.0, 0.0, math.inf, 1.0])
+    @example("a", [1e308, 1e308, 0.0, 0.0])
+    @example("a", [0.0, 0.0, 1e308, 1e308])
+    @example("a", [-1e308, 0.0, 0.0, -1e308])
+    @example("a", [10**400, 0.0, 1.0, 1.0])
+    @example("a", [1, 2, 3, 4])
+    @example("a", [0.0, 0.0, -1.0, 1.0])
+    @example("a", [True, 0.0, 1.0, 1.0])
+    @example("a", ["1", 0.0, 1.0, 1.0])
+    @example("a", [0.0, 1.0, 1.0])
+    @example("a", [0.0, 1.0, 1.0, 1.0, 1.0])
+    @example("", [0.0, 0.0, 1.0, 1.0])
+    @example("a\nb", [0.0, 0.0, 1.0, 1.0])
+    @example("a\tb", [0.0, 0.0, 1.0, 1.0])
+    @example("a{{b", [0.0, 0.0, 1.0, 1.0])
+    @example("a}}b", [0.0, 0.0, 1.0, 1.0])
+    @example(5, [0.0, 0.0, 1.0, 1.0])
+    def test_decoded_objects_match_the_constructors(self, text, box):
+        # The codec builds well-formed floats and texts without the
+        # constructors; it must give what they give, value, type and sign of
+        # zero alike, and reject what they reject with their message.
+        obj = {"text": text, "box": box}
+        record = {
+            "request": "r",
+            "kind": "onscreen",
+            "entities": [{"type": "t", "display_text": "d", "box": box, "surrounding": [obj]}],
+            "screen": [obj],
+            "ground_truth": [],
+        }
+        try:
+            expected_box = checked_box(box)
+            expected = ScreenObject(text, expected_box)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(DatasetError, match=f"^{re.escape(f'line 1: {exc}')}$"):
+                parse_dataset(json.dumps(record))
+            return
+        [dp] = parse_dataset(json.dumps(record))
+        decoded = (dp.entities[0].placement.box, dp.entities[0].placement.surrounding[0],
+                   dp.screen[0])
+        assert decoded == (expected_box, expected, expected)
+        assert [type(value) for value in decoded] == [BBox, ScreenObject, ScreenObject]
+        for decoded_box in (decoded[0], decoded[1].box, decoded[2].box):
+            assert list(map(repr, decoded_box)) == list(map(repr, expected_box))
+
+    def test_surrounding_without_box_rejected(self):
+        entity = {"type": "url", "display_text": "a",
+                  "surrounding": [{"text": "b", "box": [0, 0, 1, 1]}]}
+        with pytest.raises(
+            DatasetError, match=r"^line 2: entity has surrounding objects but no box$"
+        ):
+            parse_dataset(good_then_bad(("entities", 0), entity))
+        # The entity's own fields are checked first, as before.
+        with pytest.raises(DatasetError, match=r"^line 2: entity type must be a string, got 5$"):
+            parse_dataset(good_then_bad(("entities", 0), dict(entity, type=5)))
 
     def test_record_shape(self):
         record = datapoint_to_record(realtor_datapoint())
