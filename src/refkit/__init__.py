@@ -39,14 +39,8 @@ from .eval_harness import (
 )
 from .layout_encoder import (
     EncoderConfig,
-    Level,
     OnscreenParse,
-    PlacedObject,
-    collect_objects,
     encode_screen,
-    group_levels,
-    render_parse,
-    sort_objects,
 )
 from .prompt_builder import (
     INSTRUCTION,

@@ -42,21 +42,28 @@ def _open_output(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _encoder_config(args: argparse.Namespace) -> EncoderConfig:
-    return EncoderConfig(
-        margin=args.margin, inject_markers=(args.strategy != "grab")
-    )
-
-
 def _registry(args: argparse.Namespace):
     if getattr(args, "rules", None):
         return load_rules(args.rules, base=default_registry())
     return default_registry()
 
 
+def _check_encode_flags(args: argparse.Namespace) -> None:
+    """A usage error for a flag the chosen strategy would ignore."""
+    cluster = args.strategy == "cluster"
+    for flag, value, used in (
+        ("--eps", args.eps, cluster),
+        ("--min-pts", args.min_pts, cluster),
+        ("--margin", args.margin, not cluster),
+    ):
+        if value is not None and not used:
+            args.usage_error(f"argument {flag}: not used by --strategy {args.strategy}")
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
+    _check_encode_flags(args)
     datapoints = load_dataset(args.input)
-    config = _encoder_config(args)
+    config = EncoderConfig(margin=args.margin, inject_markers=args.strategy != "grab")
     skipped = 0
     with _open_output(args.output) as out:
         for record_id, datapoint in enumerate(datapoints):
@@ -68,7 +75,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
                     datapoint.screen or (),
                     datapoint.entities,
                     eps=args.eps,
-                    min_pts=args.min_pts,
+                    min_pts=1 if args.min_pts is None else args.min_pts,
                 )
                 record = {
                     "id": record_id,
@@ -115,18 +122,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_injected(args: argparse.Namespace) -> bool:
-    # Prompts need numbered markers; only the injected strategy produces them.
-    if args.strategy != "injected":
-        print(
-            f"error: --strategy {args.strategy} is encode-only; prompts require "
-            "injected markers",
-            file=sys.stderr,
-        )
-        return False
-    return True
-
-
 def _load_promptable(path: str) -> list[DataPoint]:
     """The dataset at `path`, checked whole before any prompt is built.
 
@@ -144,10 +139,8 @@ def _load_promptable(path: str) -> list[DataPoint]:
 
 
 def cmd_prompt(args: argparse.Namespace) -> int:
-    if not _require_injected(args):
-        return 1
     datapoints = _load_promptable(args.input)
-    config = _encoder_config(args)
+    config = EncoderConfig(margin=args.margin)
     registry = _registry(args)
     with _open_output(args.output) as out:
         for record_id, datapoint in enumerate(datapoints):
@@ -167,8 +160,6 @@ def cmd_prompt(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if not _require_injected(args):
-        return 1
     if args.oracle:
         resolver = OracleResolver(seed=args.seed)
     elif args.stub is not None:
@@ -185,7 +176,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = evaluate_dataset(
             datapoints,
             resolver,
-            config=_encoder_config(args),
+            config=EncoderConfig(margin=args.margin),
             seed=args.seed,
             dataset_name=args.name,
             registry=_registry(args),
@@ -227,13 +218,7 @@ _non_negative_int = _checked(int, lambda value: value >= 0, ">= 0")
 _positive_int = _checked(int, lambda value: value >= 1, ">= 1")
 
 
-def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strategy",
-        choices=("injected", "grab", "cluster"),
-        default="injected",
-        help="screen encoding strategy (default: injected markers)",
-    )
+def _add_margin_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--margin",
         type=_non_negative_float,
@@ -253,10 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     encode = sub.add_parser("encode", help="render onscreen datapoints to text")
     encode.add_argument("--input", required=True, help="dataset JSONL file")
     encode.add_argument("--output", default=None, help="output JSONL file (default: stdout)")
-    _add_encoder_flags(encode)
+    encode.add_argument(
+        "--strategy",
+        choices=("injected", "grab", "cluster"),
+        default="injected",
+        help="screen encoding strategy (default: injected markers)",
+    )
+    _add_margin_flag(encode)
+    # No numeric defaults here, so _check_encode_flags sees which were given.
     encode.add_argument("--eps", type=_positive_float, default=None, help="cluster distance threshold")
-    encode.add_argument("--min-pts", type=_positive_int, default=1, help="cluster density minimum")
-    encode.set_defaults(func=cmd_encode)
+    encode.add_argument("--min-pts", type=_positive_int, default=None, help="cluster density minimum (default: 1)")
+    encode.set_defaults(func=cmd_encode, usage_error=encode.error)
 
     generate = sub.add_parser("generate", help="expand templates into a labeled dataset")
     generate.add_argument(
@@ -275,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     prompt.add_argument("--output", default=None, help="output JSONL file (default: stdout)")
     prompt.add_argument("--seed", type=int, default=0)
     prompt.add_argument("--rules", default=None, help="extra textualization rules YAML")
-    _add_encoder_flags(prompt)
+    _add_margin_flag(prompt)
     prompt.set_defaults(func=cmd_prompt)
 
     evaluate = sub.add_parser("evaluate", help="score a resolver over a dataset")
@@ -294,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--name", default="run", help="row label for the report")
     evaluate.add_argument("--rules", default=None, help="extra textualization rules YAML")
     evaluate.add_argument("--workers", type=_positive_int, default=1, help="parallel resolver calls")
-    _add_encoder_flags(evaluate)
+    _add_margin_flag(evaluate)
     evaluate.set_defaults(func=cmd_evaluate)
 
     return parser

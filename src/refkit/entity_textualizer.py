@@ -224,9 +224,22 @@ def textualize_entity(entity: Entity, registry: RuleRegistry | None = None) -> s
     return (_DEFAULT_REGISTRY if registry is None else registry).textualize(entity)
 
 
+_RULE_KEYS = ("type", "alias", "field_separator", "fields")
+_FIELD_KEYS = ("key", "labeled")
+
+
+def _reject_unknown_keys(mapping: dict, accepted: tuple[str, ...], what: str) -> None:
+    """RuleError for the first key of mapping not in accepted, so that a
+    misspelled key is not dropped without a word."""
+    for key in mapping:
+        if key not in accepted:
+            raise RuleError(f"{what} has unknown key {key!r} (accepted: {', '.join(accepted)})")
+
+
 def _rule_from_mapping(entry: object) -> TextualizationRule:
     if not isinstance(entry, dict):
         raise RuleError(f"rule entry must be a mapping, got {entry!r}")
+    _reject_unknown_keys(entry, _RULE_KEYS, "rule")
     if "type" not in entry:
         raise RuleError(f"rule entry missing 'type': {entry!r}")
     fields = entry.get("fields", [])
@@ -237,6 +250,7 @@ def _rule_from_mapping(entry: object) -> TextualizationRule:
         if isinstance(field, str):
             specs.append(FieldSpec(field))
         elif isinstance(field, dict) and "key" in field:
+            _reject_unknown_keys(field, _FIELD_KEYS, "field mapping")
             specs.append(FieldSpec(field["key"], field.get("labeled", False)))
         else:
             raise RuleError(f"field must be a key or a {{key, labeled}} mapping, got {field!r}")
@@ -253,11 +267,12 @@ def load_rules(path: str, base: RuleRegistry | None = None) -> RuleRegistry:
 
     The file holds a list of rule entries, a mapping with a "rules" key
     holding that list, or a single rule entry. Each entry has: type, alias?,
-    field_separator?, fields? (strings or {key, labeled} mappings). Values
-    are not converted: a YAML number or yes/no where a string belongs is an
-    error. When `base` is given, its rules are copied in first and file
-    entries may override them. Every fault raises RuleError naming the file
-    and, where there is one, the 0-based entry.
+    field_separator?, fields? (strings or {key, labeled} mappings), and no
+    other key, so a misspelled key is an error. Values are not converted: a
+    YAML number or yes/no where a string belongs is an error. When `base` is
+    given, its rules are copied in first and file entries may override them.
+    Every fault raises RuleError naming the file and, where there is one, the
+    0-based entry.
     """
     # Imported here, not at module level, so commands that read no YAML
     # start without loading the parser.
@@ -268,8 +283,11 @@ def load_rules(path: str, base: RuleRegistry | None = None) -> RuleRegistry:
             data = yaml.safe_load(handle)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise RuleError(f"{path}: {exc}") from exc
-    if isinstance(data, dict):
-        data = data.get("rules", [data])
+    if isinstance(data, dict) and "rules" in data:
+        _reject_unknown_keys(data, ("rules",), f"{path}: top-level mapping")
+        data = data["rules"]
+    elif isinstance(data, dict):
+        data = [data]
     if data is None:
         data = []
     if not isinstance(data, list):

@@ -264,14 +264,22 @@ def evaluate_dataset(
     run itself fails only when more than MAX_FAILURE_RATE of items could not
     be resolved. With max_workers > 1 resolver calls fan out over a thread
     pool; aggregation is order-independent either way. Every prompt needs a
-    candidate entity, so an item without one fails the run before the first
-    resolver call; items are numbered from 0.
+    candidate entity, and an on-screen prompt needs entity markers, so an
+    item without one, or an on-screen item under a config that turns markers
+    off, fails the run before the first resolver call; items are numbered
+    from 0.
     """
     datapoints = list(datapoints)
+    markers_off = config is not None and not config.inject_markers
     for position, datapoint in enumerate(datapoints):
         if not datapoint.entities:
             raise EvaluationError(
                 f"item {position}: no candidate entities; a prompt needs at least one"
+            )
+        if markers_off and datapoint.kind == "onscreen":
+            raise EvaluationError(
+                f"item {position}: an on-screen prompt needs entity markers, "
+                "but the encoder config turns them off"
             )
 
     def evaluate_item(datapoint: DataPoint) -> tuple[str, str]:

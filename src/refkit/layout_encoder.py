@@ -1,28 +1,24 @@
 """Serialize a screen plus indexed entities into a plain-text layout parse.
 
-The pipeline is collect -> sort -> group -> render: gather every text box,
-order them top-to-bottom then left-to-right, partition into visual lines by
-a vertical margin, and join objects on one line with a tab and lines with a
-newline so the output text preserves the relative spatial arrangement.
-Entities are injected into the object set as numbered `{{i. text}}` markers
-so a downstream model can name them by index. The separators and the marker
-form are fixed; only the margin and the marker injection are configurable.
+`encode_screen` collects every text box, orders them top-to-bottom then
+left-to-right, partitions them into visual lines by a vertical margin, and
+joins objects on one line with a tab and lines with a newline so the output
+text preserves the relative spatial arrangement. Entities are injected into
+the object set as numbered `{{i. text}}` markers so a downstream model can
+name them by index. The separators and the marker form are fixed; only the
+margin and the marker injection are configurable.
 
-Each step has one private implementation over parallel lists: the texts,
-the boxes, the box centres (each computed once, with the same float
-expressions as `bbox_center`) and the reading order as a list of
-positions. `encode_screen` chains those steps directly, so encoding a screen
-builds a few lists and one string per line rather than an object per text
-box. The public stages (`collect_objects`, `sort_objects`, `group_levels`,
-`render_parse`) are thin adapters that run the same steps over
-`PlacedObject` and `Level` values.
+Each step is a private function over parallel lists: the texts, the boxes,
+the box centres (each computed once, with the same float expressions as
+`bbox_center`) and the reading order as a list of positions. So encoding a
+screen builds a few lists and one string per line rather than an object per
+text box.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .screen_model import BBox, Entity, ScreenObject, median_height, unique_objects
 
@@ -51,22 +47,6 @@ class EncoderConfig:
             raise ValueError(f"margin must be >= 0, got {self.margin!r}")
 
 
-class PlacedObject(NamedTuple):
-    """A text box queued for rendering; entity_index marks injected markers."""
-
-    text: str
-    box: BBox
-    entity_index: int | None = None
-
-
-@dataclass(frozen=True)
-class Level:
-    """One rendered line: objects whose centers lie within margin of the anchor."""
-
-    anchor_center_y: float
-    members: tuple[PlacedObject, ...]
-
-
 @dataclass(frozen=True)
 class OnscreenParse:
     """The rendered screen text plus where each entity marker landed in it.
@@ -81,9 +61,6 @@ class OnscreenParse:
 
 def marker_text(index: int, display_text: str) -> str:
     return f"{{{{{index}. {display_text}}}}}"
-
-
-# --- the steps ----------------------------------------------------------------
 
 
 def _collect(
@@ -140,15 +117,18 @@ def _reading_order(center_xs: list[float], center_ys: list[float]) -> list[int]:
 
 
 def _group(
-    order: Iterable[int], center_ys: Sequence[float], margin: float, first_marker: int
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """The anchor sweep of `group_levels` over the positions `order` lists
-    in reading order. Returns where each level starts, counted in reading
-    order, and the (reading position, entity index) of every position at or
-    past first_marker.
+    order: list[int], center_ys: Sequence[float], margin: float, first_marker: int
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Split the positions `order` lists in reading order into visual lines.
+
+    Greedy anchor sweep: the first unassigned position anchors a level and
+    each following one joins while its center y is within `margin` of the
+    anchor, so membership does not chain past the anchor's margin. Returns
+    the reading position where each level starts and the (reading position,
+    level, entity index) of every position at or past first_marker.
     """
     starts: list[int] = []
-    marks: list[tuple[int, int]] = []
+    marks: list[tuple[int, int, int]] = []
     anchor = None
     for rank, position in enumerate(order):
         center_y = center_ys[position]
@@ -156,108 +136,33 @@ def _group(
             starts.append(rank)
             anchor = center_y
         if position >= first_marker:
-            marks.append((rank, position - first_marker + 1))
+            marks.append((rank, len(starts) - 1, position - first_marker + 1))
     return starts, marks
 
 
 def _render(
-    texts: Sequence[str], starts: list[int], marks: Sequence[tuple[int, int]]
+    texts: Sequence[str], starts: list[int], marks: Sequence[tuple[int, int, int]]
 ) -> OnscreenParse:
     """Join the texts (in reading order) of each level with a tab and the
-    levels with a newline; marks gives the (reading position, entity index)
-    of each member whose span to record, in reading order."""
+    levels with a newline; marks gives the (reading position, level, entity
+    index) of each member whose span to record, in reading order."""
     ends = starts[1:]
     ends.append(len(texts))
     lines = [SAME_LINE_SEPARATOR.join(texts[start:end]) for start, end in zip(starts, ends)]
     spans = []
     if marks:
         line_lengths = list(accumulate(map(len, lines), initial=0))
-        level = -1
-        for rank, entity_index in marks:
-            # The last level starting at or before rank; any before it that
-            # start there too are empty.
-            found = bisect_right(starts, rank) - 1
-            if found != level:
-                level, cursor = found, starts[found]
-                offset = line_lengths[found] + found * len(LINE_SEPARATOR)
+        current = -1
+        for rank, level, entity_index in marks:
+            if level != current:
+                current, cursor = level, starts[level]
+                offset = line_lengths[level] + level * len(LINE_SEPARATOR)
             # offset is where the text at reading position cursor starts.
             offset += sum(map(len, texts[cursor:rank]))
             offset += (rank - cursor) * len(SAME_LINE_SEPARATOR)
             cursor = rank
             spans.append((entity_index, (offset, offset + len(texts[rank]))))
     return OnscreenParse(LINE_SEPARATOR.join(lines), tuple(spans))
-
-
-def _default_margin(boxes: Iterable[BBox]) -> float:
-    """Scale-free same-line tolerance: half the median box height."""
-    return 0.5 * median_height(boxes)
-
-
-# --- the public stages, each an adapter over its step --------------------------
-
-
-def collect_objects(
-    screen: Sequence[ScreenObject],
-    entities: Sequence[Entity],
-    config: EncoderConfig | None = None,
-) -> list[PlacedObject]:
-    """Union the screen and surrounding objects, then inject entity markers.
-
-    Plain objects are deduplicated by (text, box) in first-seen order. Any
-    plain object sitting at an entity's own box is dropped and replaced by
-    that entity's marker (or its raw display text when markers are off), so
-    an entity never appears twice in the parse.
-    """
-    config = config or EncoderConfig()
-    texts, boxes, first_marker = _collect(screen, entities, config.inject_markers)
-    indexes = [None] * first_marker + list(range(1, len(texts) - first_marker + 1))
-    return list(map(PlacedObject, texts, boxes, indexes))
-
-
-def sort_objects(objects: Iterable[PlacedObject]) -> list[PlacedObject]:
-    """Order objects top-to-bottom, breaking center-y ties left-to-right.
-
-    The order is lexicographic (center_y, center_x, input position).
-    """
-    objects = list(objects)
-    order = _reading_order(*_centers([obj.box for obj in objects]))
-    return list(map(objects.__getitem__, order))
-
-
-def group_levels(sorted_objects: Sequence[PlacedObject], margin: float) -> list[Level]:
-    """Partition sorted objects into visual lines by a greedy anchor sweep.
-
-    The first unassigned object anchors a level; each following object joins
-    while its center-y is within `margin` of the anchor, otherwise it opens
-    the next level. Membership does not chain: an object just inside the
-    margin does not stretch the level to fit objects beyond it.
-    """
-    objects = list(sorted_objects)
-    _, center_ys = _centers([obj.box for obj in objects])
-    starts, _ = _group(range(len(objects)), center_ys, margin, len(objects))
-    ends = starts[1:] + [len(objects)]
-    return [
-        Level(center_ys[start], tuple(objects[start:end]))
-        for start, end in zip(starts, ends)
-    ]
-
-
-def render_parse(levels: Sequence[Level]) -> OnscreenParse:
-    """Join level members with a tab and levels with a newline, recording the
-    span of every member that has an entity_index."""
-    members = [obj for level in levels for obj in level.members]
-    starts = list(accumulate((len(level.members) for level in levels), initial=0))[:-1]
-    marks = [
-        (rank, obj.entity_index)
-        for rank, obj in enumerate(members)
-        if obj.entity_index is not None
-    ]
-    return _render([obj.text for obj in members], starts, marks)
-
-
-def default_margin(objects: Sequence[PlacedObject]) -> float:
-    """Scale-free same-line tolerance: half the median object height."""
-    return _default_margin(obj.box for obj in objects)
 
 
 def encode_screen(
@@ -269,7 +174,7 @@ def encode_screen(
     config = config or EncoderConfig()
     texts, boxes, first_marker = _collect(screen, entities, config.inject_markers)
     center_xs, center_ys = _centers(boxes)
-    margin = config.margin if config.margin is not None else _default_margin(boxes)
+    margin = config.margin if config.margin is not None else 0.5 * median_height(boxes)
     order = _reading_order(center_xs, center_ys)
     starts, marks = _group(order, center_ys, margin, first_marker)
     return _render(list(map(texts.__getitem__, order)), starts, marks)

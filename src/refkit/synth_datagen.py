@@ -184,9 +184,19 @@ def generate_datapoints(
 
 # --- template files ----------------------------------------------------------
 
+_TEMPLATE_KEYS = ("id", "variations", "slots", "ground_truth_types")
+
+
 def _pair_from_mapping(entry: object, fallback_id: str) -> tuple[LanguageTemplate, SlotList]:
     if not isinstance(entry, dict):
         raise TemplateError(f"template entry must be a mapping, got {entry!r}")
+    for key in entry:
+        # A misspelled section would otherwise be dropped without a word.
+        if key not in _TEMPLATE_KEYS:
+            raise TemplateError(
+                f"template entry has unknown key {key!r} "
+                f"(accepted: {', '.join(_TEMPLATE_KEYS)})"
+            )
     try:
         variations = entry["variations"]
         slot_values = entry.get("slots", {})
@@ -205,7 +215,7 @@ def load_template_file(path: str | Path) -> list[tuple[LanguageTemplate, SlotLis
 
     A file holds a single template mapping or a list of them, each with
     sections: variations, slots, ground_truth_types, and an optional id
-    (defaults to the file stem).
+    (defaults to the file stem). Any other key is a TemplateError.
     """
     # Imported here, not at module level, so commands that read no YAML
     # start without loading the parser.

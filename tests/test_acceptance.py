@@ -14,6 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from refkit import (
     BBox,
     ConstantResolver,
+    EncoderConfig,
     Entity,
     OracleResolver,
     Placement,
@@ -26,14 +27,12 @@ from refkit import (
     generate_datapoints,
     parse_prediction,
     score,
-    sort_objects,
 )
-from refkit.layout_encoder import PlacedObject, group_levels
 from refkit.synth_datagen import bundled_template_dir, load_templates
 from refkit.value_bank import pool_entities
 
 from conftest import REALTOR_PARSE_TEXT, rainbow_datapoint, realtor_datapoint
-from test_layout_encoder import reference_group_levels
+from test_layout_encoder import reading_order, reference_group_levels
 
 
 def _verdict(number: int, name: str, problems: list[str]) -> None:
@@ -94,28 +93,29 @@ def test_criterion_3_grouping_oracle_equivalence():
     started = time.perf_counter()
     for case in range(1000):
         count = rng.randint(0, 50)
-        objects = sort_objects(
-            PlacedObject(
+        # Each object's text o{i} is unique, so every rendered line maps back
+        # to its objects.
+        screen = [
+            ScreenObject(
                 f"o{i}",
                 BBox(rng.uniform(0, 500), rng.uniform(0, 900), rng.uniform(0, 80), rng.uniform(0, 40)),
             )
             for i in range(count)
-        )
+        ]
+        by_text = {o.text: o for o in screen}
         margin = rng.choice([0.0, rng.uniform(0, 5), rng.uniform(0, 60)])
-        levels = group_levels(objects, margin)
-        expected = reference_group_levels(objects, margin)
-        if [(l.anchor_center_y, list(l.members)) for l in levels] != expected:
+        text = encode_screen(screen, [], EncoderConfig(margin=margin)).text
+        lines = [[by_text[t] for t in line.split("\t")] for line in text.split("\n")] if text else []
+        levels = [(bbox_center(line[0].box).y, line) for line in lines]
+        objects = reading_order(screen)
+        if levels != reference_group_levels(objects, margin):
             problems.append(f"case {case}: disagrees with reference sweep")
             break
-        flattened = [m for level in levels for m in level.members]
-        if flattened != objects:
+        if [o for line in lines for o in line] != objects:
             problems.append(f"case {case}: not a reading-order partition")
             break
-        for level in levels:
-            if any(
-                abs(bbox_center(m.box).y - level.anchor_center_y) > margin
-                for m in level.members
-            ):
+        for anchor, members in levels:
+            if any(abs(bbox_center(o.box).y - anchor) > margin for o in members):
                 problems.append(f"case {case}: member outside anchor margin")
                 break
     elapsed = time.perf_counter() - started

@@ -278,14 +278,40 @@ def test_unknown_command_exits_nonzero():
         main(["frobnicate"])
 
 
+def usage_error(argv, capsys) -> str:
+    """The stderr of a run that must stop with a usage error (exit 2)."""
+    with pytest.raises(SystemExit) as stopped:
+        main(argv)
+    assert stopped.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestStrategyValidation:
+    # --strategy is an encode flag; prompts always need injected markers.
     def test_prompt_rejects_grab(self, capsys):
-        assert main(["prompt", "--input", REALTOR, "--strategy", "grab"]) == 1
-        assert "encode-only" in capsys.readouterr().err
+        err = usage_error(["prompt", "--input", REALTOR, "--strategy", "grab"], capsys)
+        assert "unrecognized arguments: --strategy grab" in err
 
     def test_evaluate_rejects_cluster(self, capsys):
-        assert main(["evaluate", "--input", REALTOR, "--oracle", "--strategy", "cluster"]) == 1
-        assert "encode-only" in capsys.readouterr().err
+        err = usage_error(["evaluate", "--input", REALTOR, "--oracle", "--strategy", "cluster"], capsys)
+        assert "unrecognized arguments: --strategy cluster" in err
+
+    @pytest.mark.parametrize(
+        "strategy, flag, value",
+        [
+            ([], "--eps", "15"),
+            (["--strategy", "grab"], "--eps", "15"),
+            ([], "--min-pts", "2"),
+            (["--strategy", "injected"], "--min-pts", "1"),
+            (["--strategy", "cluster"], "--margin", "3"),
+        ],
+    )
+    def test_encode_rejects_flag_its_strategy_ignores(self, strategy, flag, value, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        argv = ["encode", "--input", BRANCHES, "--output", str(out), *strategy, flag, value]
+        err = usage_error(argv, capsys)
+        assert f"argument {flag}: not used by --strategy" in err
+        assert not out.exists()
 
 
 

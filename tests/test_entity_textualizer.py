@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import sys
 import threading
 
@@ -324,6 +325,25 @@ class TestRulesFile:
         path = tmp_path / "rules.yaml"
         path.write_bytes(body)
         with pytest.raises(RuleError, match=f"rules.yaml: {message}"):
+            load_rules(str(path), base=default_registry())
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"- type: alarm\n  feilds: [time]\n", "entry 0: rule has unknown key 'feilds'"),
+            (b"type: person\naliass: Human\n", "entry 0: rule has unknown key 'aliass'"),
+            (b"- type: a\n- type: alarm\n  fields: [{key: name, labelled: true}]\n",
+             "entry 1: field mapping has unknown key 'labelled'"),
+            (b"rules: [{type: a}]\nalias: A\n", "top-level mapping has unknown key 'alias'"),
+        ],
+        ids=["rule-key", "single-rule-key", "field-key", "top-level-key"],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, body, message):
+        # Each of these used to be dropped: the alarm rendered as "Type:
+        # Alarm", the field unlabelled, the alias ignored.
+        path = tmp_path / "rules.yaml"
+        path.write_bytes(body)
+        with pytest.raises(RuleError, match=f"^{re.escape(str(path))}: {message} \\(accepted: "):
             load_rules(str(path), base=default_registry())
 
     @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from refkit import (
     ConstantResolver,
     DataPoint,
+    EncoderConfig,
     EvaluationError,
     load_dataset,
     OracleResolver,
@@ -274,6 +275,24 @@ class TestEvaluateDataset:
             EvaluationError, match=r"^item 2: no candidate entities; a prompt needs at least one$"
         ):
             evaluate_dataset(datapoints, resolver, max_workers=max_workers)
+        assert resolver.calls == 0
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_onscreen_item_without_markers_rejected_before_any_call(self, max_workers):
+        datapoints = small_synthetic_set(4)
+        datapoints.insert(2, realtor_datapoint())
+        resolver = CountingResolver()
+        with pytest.raises(
+            EvaluationError,
+            match=r"^item 2: an on-screen prompt needs entity markers, "
+            r"but the encoder config turns them off$",
+        ):
+            evaluate_dataset(
+                datapoints,
+                resolver,
+                config=EncoderConfig(inject_markers=False),
+                max_workers=max_workers,
+            )
         assert resolver.calls == 0
 
 

@@ -1,4 +1,7 @@
 import random
+import statistics
+from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -8,38 +11,48 @@ from refkit import (
     BBox,
     EncoderConfig,
     Entity,
-    Level,
     Placement,
-    PlacedObject,
     ScreenObject,
     bbox_center,
-    collect_objects,
     encode_screen,
-    group_levels,
-    render_parse,
-    sort_objects,
 )
-from refkit.layout_encoder import default_margin, marker_text
+from refkit.layout_encoder import marker_text
 
 from conftest import REALTOR_GRAB_TEXT, REALTOR_PARSE_TEXT, realtor_datapoint
 
 
-def obj(text: str, left: float, top: float, w: float = 10, h: float = 2) -> PlacedObject:
-    return PlacedObject(text, BBox(left, top, w, h))
+def obj(text: str, left: float, top: float, w: float = 10, h: float = 2) -> ScreenObject:
+    return ScreenObject(text, BBox(left, top, w, h))
 
 
-def obj_at_center(text: str, cx: float, cy: float) -> PlacedObject:
-    return PlacedObject(text, BBox(cx - 5, cy - 1, 10, 2))
+def obj_at_center(text: str, cx: float, cy: float) -> ScreenObject:
+    return ScreenObject(text, BBox(cx - 5, cy - 1, 10, 2))
 
 
-def random_objects(rng: random.Random, n: int) -> list[PlacedObject]:
+def random_objects(rng: random.Random, n: int) -> list[ScreenObject]:
+    """n objects at random boxes, each with its own text t{i}."""
     return [
-        PlacedObject(
+        ScreenObject(
             f"t{i}",
             BBox(rng.uniform(0, 400), rng.uniform(0, 800), rng.uniform(0, 60), rng.uniform(0, 30)),
         )
         for i in range(n)
     ]
+
+
+def lines_of(text: str) -> list[list[str]]:
+    """The rendered texts of each line of a parse; no lines for no text."""
+    return [line.split("\t") for line in text.split("\n")] if text else []
+
+
+def encoded_lines(screen, margin=None) -> list[list[str]]:
+    """The lines of the entity-free parse of screen."""
+    return lines_of(encode_screen(screen, [], EncoderConfig(margin=margin)).text)
+
+
+def reading_order(objects):
+    """Objects sorted by (center y, center x), ties kept in input order."""
+    return sorted(objects, key=lambda o: (bbox_center(o.box).y, bbox_center(o.box).x))
 
 
 def reference_group_levels(sorted_objects, margin):
@@ -68,19 +81,18 @@ class TestCollect:
             display_text="555-1234",
             placement=Placement(BBox(0, 0, 10, 2)),
         )
-        [placed] = collect_objects([], [entity])
-        assert placed.text == "{{1. 555-1234}}"
-        assert placed.entity_index == 1
-        assert placed.box == BBox(0, 0, 10, 2)
+        parse = encode_screen([], [entity])
+        assert parse.text == "{{1. 555-1234}}"
+        assert parse.marker_spans == ((1, (0, len(parse.text))),)
 
     def test_realtor_fixture_objects(self):
         dp = realtor_datapoint()
-        placed = collect_objects(dp.screen, dp.entities)
-        markers = [p for p in placed if p.entity_index is not None]
-        assert len(placed) == 11
-        assert sorted(m.entity_index for m in markers) == [1, 2]
+        parse = encode_screen(dp.screen, dp.entities)
+        rendered = [text for line in lines_of(parse.text) for text in line]
+        assert len(rendered) == 11
+        assert [index for index, _ in parse.marker_spans] == [1, 2]
         # The raw phone strings were replaced by their markers.
-        assert "(206) 198 1999" not in {p.text for p in placed}
+        assert "(206) 198 1999" not in rendered
 
     def test_duplicate_surrounding_object_appears_once(self):
         shared = ScreenObject("Header", BBox(0, 0, 50, 10))
@@ -93,8 +105,8 @@ class TestCollect:
             )
             for i in (1, 2)
         ]
-        placed = collect_objects([], entities)
-        assert sum(1 for p in placed if p.text == "Header") == 1
+        parse = encode_screen([], entities)
+        assert [text for line in lines_of(parse.text) for text in line].count("Header") == 1
 
     def test_dedup_matches_naive_union(self):
         rng = random.Random(3)
@@ -114,121 +126,116 @@ class TestCollect:
                         placement=Placement(BBox(500 + i * 20, 500, 10, 4), surrounding),
                     )
                 )
-            placed = collect_objects(screen, entities)
-            plain = {(p.text, p.box) for p in placed if p.entity_index is None}
-            expected = {(o.text, o.box) for o in screen} | {
+            parse = encode_screen(screen, entities)
+            rendered = Counter(text for line in lines_of(parse.text) for text in line)
+            plain = {(o.text, o.box) for o in screen} | {
                 (o.text, o.box) for e in entities for o in e.placement.surrounding
             }
-            assert plain == expected
+            markers = Counter(marker_text(i, e.display_text) for i, e in enumerate(entities, 1))
+            assert rendered == Counter(text for text, _ in plain) + markers
 
     def test_entity_without_placement_rejected(self):
         with pytest.raises(ValueError, match="placement"):
-            collect_objects([], [Entity("person", (("name", "A"),))])
+            encode_screen([], [Entity("person", (("name", "A"),))])
 
     def test_grab_variant_uses_raw_text(self):
         dp = realtor_datapoint()
         config = EncoderConfig(inject_markers=False)
-        placed = collect_objects(dp.screen, dp.entities, config)
-        assert all(p.entity_index is None for p in placed)
-        texts = {p.text for p in placed}
-        assert "(206) 198 1999" in texts and "(206) 198 1699" in texts
+        parse = encode_screen(dp.screen, dp.entities, config)
+        assert parse.marker_spans == ()
+        rendered = {text for line in lines_of(parse.text) for text in line}
+        assert "(206) 198 1999" in rendered and "(206) 198 1699" in rendered
 
 
 class TestSort:
     def test_rows_order(self):
         objects = [obj_at_center("a", 5, 1), obj_at_center("b", 2, 1), obj_at_center("c", 4, 9)]
-        assert [o.text for o in sort_objects(objects)] == ["b", "a", "c"]
+        assert encoded_lines(objects, margin=0) == [["b", "a"], ["c"]]
 
     def test_identical_centers_keep_input_order(self):
         first = obj("x", 0, 0)
         second = obj("y", 0, 0)
-        assert sort_objects([first, second]) == [first, second]
-        assert sort_objects([second, first]) == [second, first]
+        assert encoded_lines([first, second]) == [["x", "y"]]
+        assert encoded_lines([second, first]) == [["y", "x"]]
 
     def test_matches_lexicographic_oracle(self):
         rng = random.Random(11)
         for _ in range(50):
             objects = random_objects(rng, 50)
             expected = [
-                o
+                o.text
                 for _, _, _, o in sorted(
                     (bbox_center(o.box).y, bbox_center(o.box).x, i, o)
                     for i, o in enumerate(objects)
                 )
             ]
-            assert sort_objects(objects) == expected
+            assert [text for line in encoded_lines(objects) for text in line] == expected
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     def test_oracle_property(self, seed, n):
         rng = random.Random(seed)
         objects = random_objects(rng, n)
         expected = [
-            o
+            o.text
             for _, _, _, o in sorted(
                 (bbox_center(o.box).y, bbox_center(o.box).x, i, o)
                 for i, o in enumerate(objects)
             )
         ]
-        assert sort_objects(objects) == expected
+        assert [text for line in encoded_lines(objects) for text in line] == expected
 
 
 class TestGroup:
     def test_clear_gap(self):
         objects = [obj_at_center("a", 0, 10), obj_at_center("b", 5, 10.5), obj_at_center("c", 0, 30)]
-        levels = group_levels(sort_objects(objects), margin=1)
-        assert [[m.text for m in lvl.members] for lvl in levels] == [["a", "b"], ["c"]]
+        assert encoded_lines(objects, margin=1) == [["a", "b"], ["c"]]
 
     def test_no_chaining_past_anchor_margin(self):
         objects = [obj_at_center(t, 0, y) for t, y in (("a", 10), ("b", 11), ("c", 12))]
-        levels = group_levels(sort_objects(objects), margin=1)
-        assert [[m.text for m in lvl.members] for lvl in levels] == [["a", "b"], ["c"]]
+        assert encoded_lines(objects, margin=1) == [["a", "b"], ["c"]]
 
     def test_zero_margin_splits_distinct_rows(self):
         objects = [obj_at_center(t, 0, y) for t, y in (("a", 1), ("b", 2), ("c", 3))]
-        levels = group_levels(sort_objects(objects), margin=0)
-        assert [len(lvl.members) for lvl in levels] == [1, 1, 1]
+        assert encoded_lines(objects, margin=0) == [["a"], ["b"], ["c"]]
 
     def test_members_satisfy_margin_invariant(self):
         rng = random.Random(5)
-        objects = sort_objects(random_objects(rng, 40))
+        objects = random_objects(rng, 40)
+        boxes = {o.text: o.box for o in objects}
         margin = 12.0
-        for level in group_levels(objects, margin):
-            for member in level.members:
-                assert abs(bbox_center(member.box).y - level.anchor_center_y) <= margin
+        for line in encoded_lines(objects, margin):
+            anchor = bbox_center(boxes[line[0]]).y
+            for text in line:
+                assert abs(bbox_center(boxes[text]).y - anchor) <= margin
 
     def test_matches_reference_sweep(self):
         rng = random.Random(17)
         for _ in range(100):
-            objects = sort_objects(random_objects(rng, rng.randint(0, 50)))
+            objects = random_objects(rng, rng.randint(0, 50))
             margin = rng.choice([0.0, rng.uniform(0, 40)])
-            actual = group_levels(objects, margin)
-            expected = reference_group_levels(objects, margin)
-            assert [(lvl.anchor_center_y, list(lvl.members)) for lvl in actual] == expected
+            expected = reference_group_levels(reading_order(objects), margin)
+            assert encoded_lines(objects, margin) == [
+                [o.text for o in members] for _, members in expected
+            ]
 
     def test_partition_and_reading_order(self):
         rng = random.Random(23)
-        objects = sort_objects(random_objects(rng, 50))
-        levels = group_levels(objects, 15.0)
-        flattened = [m for lvl in levels for m in lvl.members]
-        assert flattened == objects
-        assert [lvl.anchor_center_y for lvl in levels] == sorted(
-            lvl.anchor_center_y for lvl in levels
-        )
+        objects = random_objects(rng, 50)
+        boxes = {o.text: o.box for o in objects}
+        lines = encoded_lines(objects, 15.0)
+        assert [text for line in lines for text in line] == [o.text for o in reading_order(objects)]
+        anchors = [bbox_center(boxes[line[0]]).y for line in lines]
+        assert anchors == sorted(anchors)
 
 
 class TestRender:
     def test_two_level_example(self):
-        levels = [
-            Level(250.0, (obj("Contact Us", 100, 240),)),
-            Level(
-                400.0,
-                (
-                    PlacedObject("{{1. (206) 198 1999}}", BBox(40, 390, 120, 20), 1),
-                    PlacedObject("{{2. (206) 198 1699}}", BBox(240, 390, 120, 20), 2),
-                ),
-            ),
+        phones = ("(206) 198 1999", "(206) 198 1699")
+        entities = [
+            Entity("phone number", (("value", phone),), display_text=phone, placement=Placement(box))
+            for phone, box in zip(phones, (BBox(40, 390, 120, 20), BBox(240, 390, 120, 20)))
         ]
-        parse = render_parse(levels)
+        parse = encode_screen([obj("Contact Us", 100, 240, h=20)], entities)
         assert parse.text == "Contact Us\n{{1. (206) 198 1999}}\t{{2. (206) 198 1699}}"
         expected_spans = {1: "{{1. (206) 198 1999}}", 2: "{{2. (206) 198 1699}}"}
         assert [i for i, _ in parse.marker_spans] == [1, 2]
@@ -236,36 +243,19 @@ class TestRender:
             assert parse.text[start:end] == expected_spans[index]
 
     def test_empty_levels(self):
-        assert render_parse([]).text == ""
-
-    def test_span_for_every_indexed_member(self):
-        # The span follows entity_index, not the look of the text.
-        levels = [
-            Level(0.0, (obj("a", 0, 0), PlacedObject("plain", BBox(20, 0, 10, 2), 3))),
-            Level(9.0, (PlacedObject("{{x}}", BBox(0, 8, 10, 2), 0), obj("b", 20, 8))),
-        ]
-        parse = render_parse(levels)
-        assert parse.text == "a\tplain\n{{x}}\tb"
-        assert parse.marker_spans == ((3, (2, 7)), (0, (8, 13)))
-
-    def test_empty_level_renders_an_empty_line(self):
-        levels = [
-            Level(0.0, (obj("a", 0, 0),)),
-            Level(5.0, ()),
-            Level(9.0, (obj("b", 0, 8), PlacedObject("{{1. c}}", BBox(20, 8, 10, 2), 1))),
-        ]
-        parse = render_parse(levels)
-        assert parse.text == "a\n\nb\t{{1. c}}"
-        assert parse.marker_spans == ((1, (5, 13)),)
+        parse = encode_screen([], [])
+        assert parse.text == ""
+        assert parse.marker_spans == ()
 
     def test_separator_counts(self):
         rng = random.Random(2)
         for _ in range(25):
-            objects = sort_objects(random_objects(rng, rng.randint(1, 30)))
-            levels = group_levels(objects, rng.uniform(0, 30))
-            parse = render_parse(levels)
-            assert parse.text.count("\n") == len(levels) - 1
-            assert parse.text.count("\t") == sum(len(l.members) - 1 for l in levels)
+            objects = random_objects(rng, rng.randint(1, 30))
+            margin = rng.uniform(0, 30)
+            levels = reference_group_levels(reading_order(objects), margin)
+            text = encode_screen(objects, [], EncoderConfig(margin=margin)).text
+            assert text.count("\n") == len(levels) - 1
+            assert text.count("\t") == sum(len(members) - 1 for _, members in levels)
 
 
 class TestEncodeScreen:
@@ -322,19 +312,45 @@ class TestEncodeScreen:
         assert encode_screen(screen, entities).text == REALTOR_PARSE_TEXT
 
     def test_default_margin_is_half_median_height(self):
-        objects = [obj("a", 0, 0, h=10), obj("b", 0, 50, h=20), obj("c", 0, 100, h=40)]
-        assert default_margin(objects) == 10.0
-        assert default_margin([]) == 0.0
+        # Center ys 5, 15 and 15.5; the median height 20 makes the margin 10.
+        objects = [obj("a", 0, 0, h=10), obj("b", 20, 5, h=20), obj("c", 40, -4.5, h=40)]
+        assert encoded_lines(objects) == [["a", "b"], ["c"]]
+        assert encoded_lines(objects, margin=10.0) == [["a", "b"], ["c"]]
+        assert encoded_lines(objects, margin=9.5) == [["a"], ["b", "c"]]
+        assert encoded_lines(objects, margin=10.5) == [["a", "b", "c"]]
+
+
+class Item(NamedTuple):
+    """One rendered object of `reference_encode`."""
+
+    text: str
+    box: BBox
+    entity_index: int | None
 
 
 def reference_encode(screen, entities, config):
-    """The encoding from first principles: centers from bbox_center, a stable
-    sort, the reference sweep and a render that writes one piece at a time."""
-    objects = collect_objects(screen, entities, config)
-    margin = config.margin if config.margin is not None else default_margin(objects)
-    ordered = sorted(objects, key=lambda o: (bbox_center(o.box).y, bbox_center(o.box).x))
+    """The encoding from first principles: the screen and surrounding objects
+    deduplicated by (text, box), those at an entity's box dropped and the
+    markers appended; centers from bbox_center, a stable sort, the reference
+    sweep and a render that writes one piece at a time."""
+    entity_boxes = {entity.placement.box for entity in entities}
+    seen = set()
+    items = []
+    for o in [*screen, *(o for entity in entities for o in entity.placement.surrounding)]:
+        if (o.text, o.box) not in seen and o.box not in entity_boxes:
+            seen.add((o.text, o.box))
+            items.append(Item(o.text, o.box, None))
+    for index, entity in enumerate(entities, 1):
+        if config.inject_markers:
+            items.append(Item("{{" + f"{index}. {entity.display_text}" + "}}", entity.placement.box, index))
+        else:
+            items.append(Item(entity.display_text, entity.placement.box, None))
+    if config.margin is not None:
+        margin = config.margin
+    else:
+        margin = 0.5 * statistics.median([item.box.height for item in items]) if items else 0.0
     text, spans = "", []
-    for number, (_, members) in enumerate(reference_group_levels(ordered, margin)):
+    for number, (_, members) in enumerate(reference_group_levels(reading_order(items), margin)):
         if number:
             text += "\n"
         for position, member in enumerate(members):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -252,6 +253,24 @@ class TestTemplateFiles:
         path = tmp_path / "bad.yaml"
         path.write_bytes(body)
         with pytest.raises(TemplateError, match=f"bad.yaml: {message}"):
+            load_template_file(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'variations: ["hi"]\nslot: {x: ["a"]}\nground_truth_types: ["person"]\n',
+             "entry 0: template entry has unknown key 'slot'"),
+            (b'- variations: ["hi"]\n  ground_truth_types: ["app"]\n'
+             b'- variations: ["hi"]\n  ground_truth_types: ["app"]\n  name: x\n',
+             "entry 1: template entry has unknown key 'name'"),
+        ],
+        ids=["slot", "second-entry"],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, body, message):
+        # The misspelled slots: used to load as an entry with empty slots.
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(body)
+        with pytest.raises(TemplateError, match=f"^{re.escape(str(path))}: {message} \\(accepted: "):
             load_template_file(path)
 
     def test_bundled_templates_load_and_cover_500(self):
