@@ -8,31 +8,32 @@ along with the entity's absolute position. The per-entity context lists
 make total prompt size grow super-linearly with cluster size, which is why
 the layout parse is the production path.
 
-Clustering is DBSCAN with its region queries answered from a uniform
-spatial grid. The grid is exact: every neighbourhood, and so every cluster
-and encoding, is identical to what a scan over all objects gives. A scene of
-n objects with about m neighbours each costs about O(n * m) distance tests;
-the worst case, boxes that all span the scene, stays the scan's O(n^2).
+Clustering is DBSCAN over an eps-neighbourhood graph found through a
+uniform spatial grid over parallel lists of box edges. A pair in reach goes
+to rect_distance, the one definition of the distance, only when both its
+axis gaps are within eps. This is exact: the graph, so every cluster, is
+what a scan over all objects gives. n objects with about m neighbours each
+cost about O(n * m) tests, O(n^2) when every box spans the scene.
 
-encode_clusters builds that neighbourhood graph once per scene and eps
-value, not once per entity, and labels each entity's own object set over
-the graph restricted to it. The graph does not depend on the order of the
-objects; only the order DBSCAN visits them in does, and that stays each
-entity's own. So the result is exact: the same as clustering each entity's
-objects on their own.
+encode_clusters builds the graph once per scene and eps value, and one
+labeller walks it for each entity in the entity's own order, skipping
+objects outside its set, with no restricted copy. Only that visiting order
+depends on object order, so each result is what clustering the entity's
+objects on their own gives.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .screen_model import (
     BBox, Entity, ScreenObject, bbox_center, median_height
 )
 
 NOISE_CLUSTER_ID = -1
+_OUTSIDE = -2  # the label of an object outside the set being clustered
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ _REACH_MARGIN = 2.0**-20
 
 
 def _axis_cells(
-    starts: list[float], ends: list[float], eps: float, k: int
+    starts: Sequence[float], ends: Sequence[float], eps: float, k: int
 ) -> tuple[list[range], list[range]]:
     """Along one axis: the cells each box covers and the cells its query scans.
 
@@ -101,45 +102,43 @@ def _axis_cells(
 
 
 def _neighbor_lists(boxes: Sequence[BBox], eps: float) -> list[list[int]]:
-    """For each box i, the ascending indices j with rect_distance(i, j) <= eps.
+    """For each box i, the indices j with rect_distance(i, j) <= eps, i first.
 
-    Each box is filed under every cell it covers of a uniform grid of
-    (k + 3)^2 cells, k = ceil(sqrt(n)). Box i is tested only against the
-    later boxes filed under the cells within reach of its own, and a match
-    is recorded on both sides (rect_distance is symmetric, and every box is
-    its own neighbour). Small boxes with m neighbours each so cost about
-    n * m / 2 distance tests instead of n^2; the worst case, every box
-    covering every cell, tests every pair once.
+    Boxes are filed in turn under every cell they cover of a uniform grid of
+    (k + 3)^2 cells, k = ceil(sqrt(n)), and box i is tested against the
+    earlier boxes filed under the cells within reach of its own; a match is
+    recorded on both sides (rect_distance is symmetric). Small boxes with m
+    neighbours each so cost about n * m / 2 tests instead of n^2; the worst
+    case, every box covering every cell, tests every pair once. A pair is
+    skipped when one of the four edge differences rect_distance takes its
+    axis gaps from exceeds eps, as the distance is at least each of them.
     """
     k = math.isqrt(len(boxes) - 1) + 1
-    # Ends are summed as rect_distance sums them, so both see the same edges.
-    x_covers, x_scans = _axis_cells(
-        [b.left for b in boxes], [b.left + b.width for b in boxes], eps, k
-    )
-    y_covers, y_scans = _axis_cells(
-        [b.top for b in boxes], [b.top + b.height for b in boxes], eps, k
-    )
+    lefts, tops, widths, heights = zip(*boxes)
+    # Right and bottom edges are summed as rect_distance sums them.
+    rights = [left + width for left, width in zip(lefts, widths)]
+    bottoms = [top + height for top, height in zip(tops, heights)]
+    x_covers, x_scans = _axis_cells(lefts, rights, eps, k)
+    y_covers, y_scans = _axis_cells(tops, bottoms, eps, k)
     stride = k + 3
     cells: list[list[int]] = [[] for _ in range(stride * stride)]
-    for j, (columns, rows) in enumerate(zip(x_covers, y_covers)):
-        for cx in columns:
-            for cy in rows:
-                cells[cx * stride + cy].append(j)
-
-    neighbors: list[list[int]] = [[] for _ in boxes]
+    neighbors: list[list[int]] = [[i] for i in range(len(boxes))]
     for i, box in enumerate(boxes):
-        neighbors[i].append(i)
-        later = {
-            j
-            for cx in x_scans[i]
-            for cy in y_scans[i]
-            for j in cells[cx * stride + cy]
-            if j > i
+        left, top, right, bottom = lefts[i], tops[i], rights[i], bottoms[i]
+        earlier = {
+            j for cx in x_scans[i] for cy in y_scans[i] for j in cells[cx * stride + cy]
         }
-        for j in sorted(later):
-            if rect_distance(box, boxes[j]) <= eps:
+        for j in earlier:
+            if (
+                left - rights[j] <= eps and lefts[j] - right <= eps
+                and top - bottoms[j] <= eps and tops[j] - bottom <= eps
+                and rect_distance(box, boxes[j]) <= eps
+            ):
                 neighbors[i].append(j)
                 neighbors[j].append(i)
+        for cx in x_covers[i]:
+            for cy in y_covers[i]:
+                cells[cx * stride + cy].append(i)
     return neighbors
 
 
@@ -151,42 +150,50 @@ def _check_parameters(eps: float, min_pts: int) -> None:
 
 
 def _label_clusters(
-    objects: Sequence[ScreenObject], neighborhoods: Sequence[Sequence[int]], min_pts: int
+    objects: Sequence[ScreenObject],
+    graph: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
+    order: Sequence[int],
+    min_pts: int,
 ) -> list[Cluster]:
-    """DBSCAN labelling of objects over their eps-neighbourhood graph.
+    """DBSCAN labelling of the objects[n] for n in order, over their eps graph.
 
-    neighborhoods[i] holds the indices of the objects within eps of object i,
-    itself included, in any order. Unlabelled points start a cluster in
-    input order, which alone fixes cluster ids, which cluster claims a
-    border point, and member order: an expansion claims every unclaimed
-    point density-reachable from its start, whatever order it reaches
-    them in.
+    graph[n] holds the n' with objects[n'] within eps of objects[n], n
+    itself included, in any order; objects not in `order` are neither
+    labelled nor counted as neighbours. Unlabelled points start a cluster in
+    `order`, which alone fixes cluster ids, which cluster claims a border
+    point, and member order: an expansion claims every unclaimed point
+    density-reachable from its start, whatever order it reaches them in.
     """
-    labels: list[int | None] = [None] * len(objects)
+    labels: list[int | None] = [_OUTSIDE] * len(objects)
+    for n in order:
+        labels[n] = None
+    core = None  # with min_pts 1 every point is core: its neighbourhood holds itself
+    if min_pts > 1:
+        core = {n: sum(labels[m] != _OUTSIDE for m in graph[n]) >= min_pts for n in order}
     cluster_id = 0
-    for i, neighbors in enumerate(neighborhoods):
-        if labels[i] is not None:
+    for n in order:
+        if labels[n] is not None:
             continue
-        if len(neighbors) < min_pts:
-            labels[i] = NOISE_CLUSTER_ID
+        if core is not None and not core[n]:
+            labels[n] = NOISE_CLUSTER_ID
             continue
-        labels[i] = cluster_id
-        cores = [i]  # claimed core points whose neighbours are still unclaimed
+        labels[n] = cluster_id
+        cores = [n]  # claimed core points whose neighbours are still unclaimed
         while cores:
-            for j in neighborhoods[cores.pop()]:
-                label = labels[j]
+            for m in graph[cores.pop()]:
+                label = labels[m]
                 if label is None:
-                    labels[j] = cluster_id
-                    if len(neighborhoods[j]) >= min_pts:
-                        cores.append(j)
+                    labels[m] = cluster_id
+                    if core is None or core[m]:
+                        cores.append(m)
                 elif label == NOISE_CLUSTER_ID:
-                    labels[j] = cluster_id  # noise reachable from a core point -> border
+                    labels[m] = cluster_id  # noise reachable from a core point -> border
         cluster_id += 1
 
     # members[c] for cluster c; members[-1], so members[NOISE_CLUSTER_ID], is noise.
     members: list[list[ScreenObject]] = [[] for _ in range(cluster_id + 1)]
-    for obj, label in zip(objects, labels):
-        members[label].append(obj)
+    for n in order:
+        members[labels[n]].append(objects[n])
     clusters = [Cluster(cid, tuple(group)) for cid, group in enumerate(members[:-1])]
     if members[-1]:
         clusters.append(Cluster(NOISE_CLUSTER_ID, tuple(members[-1])))
@@ -213,8 +220,8 @@ def dbscan_cluster(
     _check_parameters(eps, min_pts)
     if not objects:
         return []
-    neighborhoods = _neighbor_lists([obj.box for obj in objects], eps)
-    return _label_clusters(objects, neighborhoods, min_pts)
+    graph = _neighbor_lists([obj.box for obj in objects], eps)
+    return _label_clusters(objects, graph, range(len(objects)), min_pts)
 
 
 def assign_entity_cluster(entity: Entity, clusters: Sequence[Cluster]) -> Cluster | None:
@@ -248,7 +255,7 @@ def assign_entity_cluster(entity: Entity, clusters: Sequence[Cluster]) -> Cluste
 
 
 def _tokens(text: str) -> set[str]:
-    return {token for token in text.lower().split() if token}
+    return set(text.lower().split())
 
 
 def has_token_overlap(a: str, b: str) -> bool:
@@ -268,10 +275,9 @@ def build_cluster_encoding(
     cluster = assign_entity_cluster(entity, clusters)
     texts: tuple[str, ...] = ()
     if cluster is not None:
+        own = _tokens(entity.display_text)
         texts = tuple(
-            member.text
-            for member in cluster.members
-            if not has_token_overlap(entity.display_text, member.text)
+            member.text for member in cluster.members if own.isdisjoint(_tokens(member.text))
         )
     center = bbox_center(entity.placement.box)
     return ClusterEncoding(
@@ -296,10 +302,10 @@ def encode_clusters(
 
     The eps-neighbourhood graph is built once per scene and eps value, over
     the union of the object sets that use it, and each entity's objects are
-    labelled over that graph restricted to them, in the entity's own order.
-    A neighbourhood restricted to a subset is the subset's own
-    neighbourhood, so every encoding is exactly what dbscan_cluster over
-    the entity's own object set gives.
+    labelled over it in the entity's own order, skipping all others. A
+    neighbourhood restricted to a subset is the subset's own neighbourhood,
+    so every encoding is exactly what dbscan_cluster over the entity's own
+    object set gives.
     """
     # The scene's distinct objects, each numbered once; equal objects share a number.
     table: list[ScreenObject] = []
@@ -346,14 +352,6 @@ def encode_clusters(
     for index, (entity, (own, entity_eps)) in enumerate(zip(entities, object_sets), 1):
         clusters: list[Cluster] = []
         if own:
-            graph = graphs[entity_eps]
-            # Restrict the graph to the entity's objects, numbered in its own order.
-            position = [-1] * len(table)
-            for local, n in enumerate(own):
-                position[n] = local
-            neighborhoods = [
-                [p for p in map(position.__getitem__, graph[n]) if p >= 0] for n in own
-            ]
-            clusters = _label_clusters([table[n] for n in own], neighborhoods, min_pts)
+            clusters = _label_clusters(table, graphs[entity_eps], own, min_pts)
         encodings.append(build_cluster_encoding(index, entity, clusters))
     return encodings

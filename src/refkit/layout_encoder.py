@@ -17,7 +17,6 @@ text box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .screen_model import BBox, Entity, ScreenObject, median_height, unique_objects
@@ -118,17 +117,17 @@ def _reading_order(center_xs: list[float], center_ys: list[float]) -> list[int]:
 
 def _group(
     order: list[int], center_ys: Sequence[float], margin: float, first_marker: int
-) -> tuple[list[int], list[tuple[int, int, int]]]:
+) -> tuple[list[int], list[tuple[int, int]]]:
     """Split the positions `order` lists in reading order into visual lines.
 
     Greedy anchor sweep: the first unassigned position anchors a level and
     each following one joins while its center y is within `margin` of the
     anchor, so membership does not chain past the anchor's margin. Returns
     the reading position where each level starts and the (reading position,
-    level, entity index) of every position at or past first_marker.
+    entity index) of every position at or past first_marker.
     """
     starts: list[int] = []
-    marks: list[tuple[int, int, int]] = []
+    marks: list[tuple[int, int]] = []
     anchor = None
     for rank, position in enumerate(order):
         center_y = center_ys[position]
@@ -136,32 +135,28 @@ def _group(
             starts.append(rank)
             anchor = center_y
         if position >= first_marker:
-            marks.append((rank, len(starts) - 1, position - first_marker + 1))
+            marks.append((rank, position - first_marker + 1))
     return starts, marks
 
 
 def _render(
-    texts: Sequence[str], starts: list[int], marks: Sequence[tuple[int, int, int]]
+    texts: Sequence[str], starts: list[int], marks: Sequence[tuple[int, int]]
 ) -> OnscreenParse:
     """Join the texts (in reading order) of each level with a tab and the
-    levels with a newline; marks gives the (reading position, level, entity
-    index) of each member whose span to record, in reading order."""
+    levels with a newline; marks gives the (reading position, entity index)
+    of each member whose span to record, in reading order."""
     ends = starts[1:]
     ends.append(len(texts))
     lines = [SAME_LINE_SEPARATOR.join(texts[start:end]) for start, end in zip(starts, ends)]
     spans = []
-    if marks:
-        line_lengths = list(accumulate(map(len, lines), initial=0))
-        current = -1
-        for rank, level, entity_index in marks:
-            if level != current:
-                current, cursor = level, starts[level]
-                offset = line_lengths[level] + level * len(LINE_SEPARATOR)
-            # offset is where the text at reading position cursor starts.
-            offset += sum(map(len, texts[cursor:rank]))
-            offset += (rank - cursor) * len(SAME_LINE_SEPARATOR)
-            cursor = rank
-            spans.append((entity_index, (offset, offset + len(texts[rank]))))
+    # Every text but the last is followed by one separator, a tab or a
+    # newline, both one character long.
+    offset = cursor = 0
+    for rank, entity_index in marks:
+        # offset is where the text at reading position cursor starts.
+        offset += sum(map(len, texts[cursor:rank])) + rank - cursor
+        cursor = rank
+        spans.append((entity_index, (offset, offset + len(texts[rank]))))
     return OnscreenParse(LINE_SEPARATOR.join(lines), tuple(spans))
 
 

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import refkit.cluster_encoder as cluster_encoder
@@ -211,6 +211,17 @@ def scenes(draw):
     return objects, eps
 
 
+TOP = 1.7976931348623157e308
+EXTREME_OBJECTS = [
+    ScreenObject("far-left", BBox(-TOP, -TOP, 0, 0)),
+    ScreenObject("widest", BBox(-TOP, 0, TOP, TOP)),
+    ScreenObject("far-right", BBox(TOP, TOP, TOP, 0)),
+    ScreenObject("origin", BBox(0, 0, 1, 1)),
+    ScreenObject("near-origin", BBox(1.5, 0, 1, 1)),
+]
+EXTREME_EPS = (5e-324, 1e-6, 1.0, 1e300, TOP, math.inf)
+
+
 class TestDbscan:
     def test_two_separated_groups(self):
         group_a = [ScreenObject(f"a{i}", BBox(i * 5, 0, 4, 4)) for i in range(3)]
@@ -273,20 +284,37 @@ class TestDbscan:
         assert cluster_labels(objects, clusters) == reference_dbscan(objects, eps, 2)
 
     def test_extreme_magnitudes(self):
-        top = 1.7976931348623157e308
-        objects = [
-            ScreenObject("far-left", BBox(-top, -top, 0, 0)),
-            ScreenObject("widest", BBox(-top, 0, top, top)),
-            ScreenObject("far-right", BBox(top, top, top, 0)),
-            ScreenObject("origin", BBox(0, 0, 1, 1)),
-            ScreenObject("near-origin", BBox(1.5, 0, 1, 1)),
-        ]
-        for eps in (5e-324, 1e-6, 1.0, 1e300, top, math.inf):
+        for eps in EXTREME_EPS:
             for min_pts in (1, 2, 3):
-                clusters = dbscan_cluster(objects, eps, min_pts)
-                assert cluster_labels(objects, clusters) == reference_dbscan(
-                    objects, eps, min_pts
+                clusters = dbscan_cluster(EXTREME_OBJECTS, eps, min_pts)
+                assert cluster_labels(EXTREME_OBJECTS, clusters) == reference_dbscan(
+                    EXTREME_OBJECTS, eps, min_pts
                 )
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenes())
+    # A gap of exactly eps across while the rows overlap, in integers and
+    # in floats (0.9 - (0.1 + 0.2) rounds to 0.6).
+    @example(_scene([BBox(0, 0, 2, 2), BBox(5, 1, 2, 2)], 3.0))
+    @example(_scene([BBox(0.1, 0, 0.2, 5), BBox(0.9, 2, 0, 1)], 0.6))
+    # Both axis gaps within eps, the distance (their hypot) beyond it.
+    @example(_scene([BBox(0, 0, 1, 1), BBox(4, 4, 1, 1)], 3.5))
+    @example((EXTREME_OBJECTS, EXTREME_EPS[0]))
+    @example((EXTREME_OBJECTS, EXTREME_EPS[1]))
+    @example((EXTREME_OBJECTS, EXTREME_EPS[2]))
+    @example((EXTREME_OBJECTS, EXTREME_EPS[3]))
+    @example((EXTREME_OBJECTS, EXTREME_EPS[4]))
+    @example((EXTREME_OBJECTS, EXTREME_EPS[5]))
+    def test_neighbor_lists_match_a_scan(self, scene):
+        objects, eps = scene
+        assume(objects)
+        boxes = [obj.box for obj in objects]
+        near = cluster_encoder._neighbor_lists(boxes, eps)
+        assert [around[0] for around in near] == list(range(len(boxes)))
+        assert [sorted(around) for around in near] == [
+            [j for j, other in enumerate(boxes) if rect_distance(box, other) <= eps]
+            for box in boxes
+        ]
 
     def test_distance_tests_grow_linearly(self, monkeypatch):
         calls = 0
@@ -571,6 +599,21 @@ class TestEncoding:
         builds.clear()
         encode_clusters(screen, entities)
         assert builds == [(200, one_entity)]  # not one build per entity
+
+    def test_benchmark_scenes_match_per_entity_clustering(self, benchmark_input):
+        # cluster-encode's seed-1 scenes at full size: in some every
+        # surrounding object is on the screen, so all entities share one
+        # object set; in the others entities have private neighbours.
+        datapoints = parse_dataset(benchmark_input("cluster-encode"))
+        shared = [
+            all(set(e.placement.surrounding) <= set(d.screen) for e in d.entities)
+            for d in datapoints
+        ]
+        assert 0 < sum(shared) < len(datapoints)
+        for datapoint in datapoints:
+            assert encode_clusters(datapoint.screen, datapoint.entities) == (
+                per_entity_encodings(datapoint.screen, datapoint.entities)
+            )
 
     def test_branch_fixture_surroundings(self, branches):
         encodings = encode_clusters(branches.screen, branches.entities, eps=15)
