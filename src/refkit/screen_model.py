@@ -6,11 +6,12 @@ top-left corner and y growing downward, matching screenshot conventions.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 KINDS = ("conversational", "synthetic", "onscreen")
 
@@ -22,6 +23,20 @@ class DatasetError(ValueError):
 class Point(NamedTuple):
     x: float
     y: float
+
+
+def _require_utf8(text: str, field: str) -> None:
+    """ValueError when text holds a lone surrogate, which UTF-8 cannot encode.
+
+    json.loads makes one of a "\\ud800" escape, and PyYAML of a template's;
+    such a text would fail only when it is written out. ASCII text, the
+    common case, is passed after one `isascii` scan.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{field} must not hold a lone surrogate, got {text!r}") from None
 
 
 # Numbers as BBox holds them; bool, though a subclass of int, is not one.
@@ -104,7 +119,8 @@ class ScreenObject(_ScreenObjectFields):
     Newlines and tabs are rejected rather than escaped: they are the layout
     separators of the rendered parse, and allowing them would make the
     output ambiguous. So are the `{{` and `}}` that delimit entity markers,
-    which would let screen text pass for a numbered option.
+    which would let screen text pass for a numbered option. Every text field
+    of ScreenObject, Entity and DataPoint must be encodable as UTF-8.
     """
 
     __slots__ = ()
@@ -114,6 +130,7 @@ class ScreenObject(_ScreenObjectFields):
             raise ValueError(f"screen object text must be a string, got {text!r}")
         if not text:
             raise ValueError("ScreenObject.text must be non-empty")
+        _require_utf8(text, "ScreenObject.text")
         if "\n" in text or "\t" in text:
             raise ValueError("ScreenObject.text must not contain newline or tab")
         if "{{" in text or "}}" in text:
@@ -180,6 +197,7 @@ class Entity:
             raise ValueError(f"entity type must be a string, got {self.entity_type!r}")
         if not self.entity_type:
             raise ValueError("Entity.entity_type must be non-empty")
+        _require_utf8(self.entity_type, "Entity.entity_type")
         properties = self.properties
         if type(properties) not in (tuple, list):
             raise ValueError(f"properties must be an array of pairs, got {properties!r}")
@@ -193,6 +211,8 @@ class Entity:
                 raise ValueError(
                     f"properties must be [key, value] pairs of strings, got {properties!r}"
                 )
+            _require_utf8(pair[0], "Entity property key")
+            _require_utf8(pair[1], "Entity property value")
         properties = tuple(map(tuple, properties))
         object.__setattr__(self, "properties", properties)
         if len(dict(properties)) != len(properties):
@@ -205,6 +225,7 @@ class Entity:
                 raise ValueError(f"display_text must be a string, got {text!r}")
             if "\n" in text or "\t" in text:
                 raise ValueError("Entity.display_text must not contain newline or tab")
+            _require_utf8(text, "Entity.display_text")
             if "{{" in text or "}}" in text:
                 raise ValueError(
                     f"Entity.display_text must not contain a marker delimiter, got {text!r}"
@@ -239,6 +260,7 @@ class DataPoint:
             raise ValueError(
                 f"DataPoint.request must not contain a line break, got {self.request!r}"
             )
+        _require_utf8(self.request, "DataPoint.request")
         if self.kind not in KINDS:
             raise ValueError(f"unknown datapoint kind {self.kind!r}")
         n = len(self.entities)
@@ -320,8 +342,9 @@ def _object_to_json(obj: ScreenObject) -> dict:
 def _object_from_json(value: object) -> ScreenObject:
     """The screen object a decoded JSON value holds, its text checked once.
 
-    A text that meets ScreenObject's conditions makes the tuple directly;
-    any other goes to the constructor, which names what is wrong.
+    An ASCII text that meets ScreenObject's conditions makes the tuple
+    directly; any other goes to the constructor, which checks it whole and
+    names what is wrong.
     """
     if not isinstance(value, dict):
         raise ValueError(f"screen object must be an object, got {value!r}")
@@ -334,6 +357,7 @@ def _object_from_json(value: object) -> ScreenObject:
         and "\t" not in text
         and "{{" not in text
         and "}}" not in text
+        and text.isascii()
     ):
         return tuple.__new__(ScreenObject, (text, box))
     return ScreenObject(text, box)
@@ -429,12 +453,36 @@ def datapoint_from_record(record: object, shared: dict) -> DataPoint:
     )
 
 
+def _dataset_lines(datapoints: Iterable[DataPoint]) -> Iterator[str]:
+    """Each datapoint's record as one JSONL line, made as it is asked for."""
+    for datapoint in datapoints:
+        yield json.dumps(datapoint_to_record(datapoint), ensure_ascii=False) + "\n"
+
+
+def _parse_lines(lines: Iterable[str | bytes]) -> list[DataPoint]:
+    """The datapoints of JSONL lines, each text or UTF-8 bytes, read in turn.
+
+    A line may end in the "\\n" it was split at. Only JSON whitespace (space,
+    tab, CR, LF) makes a line blank; any other line is a record.
+    """
+    datapoints = []
+    shared: dict = {}
+    for line_number, line in enumerate(lines, 1):
+        try:
+            if isinstance(line, bytes):
+                line = line.removesuffix(b"\n").decode("utf-8")
+            if not line.strip(" \t\r\n"):
+                continue
+            record = json.loads(line)
+            datapoints.append(datapoint_from_record(record, shared))
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            raise DatasetError(f"line {line_number}: {exc}") from exc
+    return datapoints
+
+
 def format_dataset(datapoints: Iterable[DataPoint]) -> str:
     """Serialize datapoints to the line-delimited JSON dataset format."""
-    lines = [
-        json.dumps(datapoint_to_record(dp), ensure_ascii=False) for dp in datapoints
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(_dataset_lines(datapoints))
 
 
 def parse_dataset(text: str | bytes) -> list[DataPoint]:
@@ -450,35 +498,35 @@ def parse_dataset(text: str | bytes) -> list[DataPoint]:
     times. Whether two entities are the same object is not part of the
     format; nothing is shared between calls.
     """
-    lines = text.split(b"\n" if isinstance(text, bytes) else "\n")
-    datapoints = []
-    shared: dict = {}
-    for line_number, line in enumerate(lines, 1):
-        try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            datapoints.append(datapoint_from_record(record, shared))
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            raise DatasetError(f"line {line_number}: {exc}") from exc
-    return datapoints
+    return _parse_lines(text.split(b"\n" if isinstance(text, bytes) else "\n"))
 
 
 def load_dataset(source: str | IO) -> list[DataPoint]:
-    """Load a dataset from a file path or an open text/binary stream."""
+    """Load a dataset from a file path or an open text/binary stream.
+
+    A path or buffered binary stream is read one line at a time, so beyond
+    the datapoints only the record being decoded is held; the result and
+    errors are parse_dataset's. Any other stream is read whole: iterating a
+    text stream opened with newline="" would split a record at a lone CR,
+    which JSON allows between tokens.
+    """
+    if isinstance(source, io.BufferedIOBase):
+        return _parse_lines(source)
     if hasattr(source, "read"):
         return parse_dataset(source.read())
     with open(source, "rb") as handle:
-        return parse_dataset(handle.read())
+        return _parse_lines(handle)
 
 
 def save_dataset(target: str | IO, datapoints: Iterable[DataPoint]) -> None:
-    """Write datapoints to a file path or an open text stream."""
-    payload = format_dataset(datapoints)
+    """Write datapoints to a file path or an open text stream.
+
+    Records are encoded and written one at a time, so only one record's JSON
+    is held. If `datapoints` raises part-way, the records before it stay
+    written (a path's file is closed first).
+    """
     if hasattr(target, "write"):
-        target.write(payload)
+        target.writelines(_dataset_lines(datapoints))
         return
     with open(target, "w", encoding="utf-8") as handle:
-        handle.write(payload)
+        handle.writelines(_dataset_lines(datapoints))

@@ -138,8 +138,8 @@ def generate_datapoints(
     the combined list is shuffled and ground_truth set to the positives'
     positions. Deterministic for a fixed seed. max_samples caps the expansion
     with a uniform seeded subsample that preserves expansion order. A query
-    that DataPoint rejects, such as one holding a line break, raises
-    TemplateError naming the template.
+    or ground-truth type that DataPoint or Entity rejects, such as one holding
+    a line break or a lone surrogate, raises TemplateError naming the template.
     """
     gt_types = {t.lower() for t in slots.ground_truth_types}
     pool = list(negative_pool)
@@ -161,15 +161,15 @@ def generate_datapoints(
 
     datapoints = []
     for query in queries:
-        entities = [sample_entity(t, rng) for t in slots.ground_truth_types]
-        entities.extend(rng.sample(pool, per_query_negatives))
-        rng.shuffle(entities)
-        ground_truth = frozenset(
-            position
-            for position, entity in enumerate(entities, 1)
-            if entity.entity_type.lower() in gt_types
-        )
         try:
+            entities = [sample_entity(t, rng) for t in slots.ground_truth_types]
+            entities.extend(rng.sample(pool, per_query_negatives))
+            rng.shuffle(entities)
+            ground_truth = frozenset(
+                position
+                for position, entity in enumerate(entities, 1)
+                if entity.entity_type.lower() in gt_types
+            )
             datapoint = DataPoint(
                 request=query,
                 entities=tuple(entities),

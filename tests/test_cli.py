@@ -135,6 +135,30 @@ class TestGenerate:
         assert "loose.yaml: entry 0" in err and "ground-truth types" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            ('variations: ["call \\ud800 [who]"]\nslots: {who: ["him"]}\n'
+             'ground_truth_types: ["person"]\n', "DataPoint.request"),
+            ('variations: ["call [who]"]\nslots: {who: ["\\udc80"]}\n'
+             'ground_truth_types: ["person"]\n', "DataPoint.request"),
+            ('variations: ["call [who]"]\nslots: {who: ["him"]}\n'
+             'ground_truth_types: ["per\\ud800son"]\n', "Entity.entity_type"),
+        ],
+        ids=["variation", "slot-value", "ground-truth-type"],
+    )
+    def test_lone_surrogate_diagnosed(self, template, message, tmp_path, capsys):
+        # YAML reads a "\ud800" escape as a lone surrogate, which no dataset
+        # file can hold.
+        path = tmp_path / "lone.yaml"
+        path.write_text(template, encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--input", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: template 'lone': ")
+        assert f"{message} must not hold a lone surrogate" in err
+        assert not out.exists()
+
 
 class TestPrompt:
     def test_business_list_prompt_with_rules(self, tmp_path):
@@ -172,6 +196,18 @@ class TestPrompt:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 2" in err and "utf-8" in err
+
+    def test_lone_surrogate_diagnosed(self, tmp_path, capsys):
+        dataset = tmp_path / "lone.jsonl"
+        dataset.write_text(
+            '{"request": "call \\ud800 now", "kind": "conversational", "entities": '
+            '[{"type": "person", "properties": [["name", "A"]]}], "ground_truth": [1]}\n',
+            encoding="utf-8",
+        )
+        code = main(["prompt", "--input", str(dataset), "--output", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: DataPoint.request must not hold a lone surrogate")
 
     def test_onscreen_prompt_contains_parse(self, tmp_path):
         out = tmp_path / "prompts.jsonl"

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,8 @@ import pickle
 import random
 import re
 import statistics
+import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -267,6 +270,26 @@ class TestInvariants:
         with pytest.raises(ValueError):
             DataPoint("hi", (entity,), kind="background")
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda text: ScreenObject(text, BBox(0, 0, 1, 1)), "ScreenObject.text"),
+            (lambda text: Entity(text), "Entity.entity_type"),
+            (lambda text: Entity("p", ((text, "v"),)), "Entity property key"),
+            (lambda text: Entity("p", (("k", text),)), "Entity property value"),
+            (lambda text: Entity("p", display_text=text), "Entity.display_text"),
+            (lambda text: DataPoint(text, ()), "DataPoint.request"),
+        ],
+        ids=["screen-text", "type", "property-key", "property-value", "display-text",
+             "request"],
+    )
+    @pytest.mark.parametrize("text", ["call \ud800 now", "\udfff", "é\udc80", "\ud83d\ude00"])
+    def test_lone_surrogates_rejected(self, build, field, text):
+        # UTF-8 cannot encode a surrogate, even two that would make a pair.
+        with pytest.raises(ValueError, match=f"^{field} must not hold a lone surrogate, got "):
+            build(text)
+        build("\U0001f600 café")
+
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 json_values = st.recursive(
@@ -485,12 +508,14 @@ class TestDatasetCodec:
         assert hashlib.sha256(again).hexdigest() == expected
 
     def test_save_and_load_paths_and_streams(self, tmp_path):
-        datapoints = [rainbow_datapoint()]
+        datapoints = [realtor_datapoint(), rainbow_datapoint(), alarms_datapoint()]
         path = tmp_path / "ds.jsonl"
         save_dataset(str(path), datapoints)
+        assert path.read_bytes() == format_dataset(datapoints).encode("utf-8")
         assert load_dataset(str(path)) == datapoints
         buffer = io.StringIO()
-        save_dataset(buffer, datapoints)
+        save_dataset(buffer, iter(datapoints))
+        assert buffer.getvalue() == format_dataset(datapoints)
         assert load_dataset(io.StringIO(buffer.getvalue())) == datapoints
 
     def test_shipped_fixtures_match_builders(self):
@@ -562,6 +587,43 @@ class TestDatasetCodec:
     def test_forging_text_rejected(self, path, value, message):
         with pytest.raises(DatasetError, match=f"line 2: .*{message}"):
             parse_dataset(good_then_bad(path, value))
+
+    @pytest.mark.parametrize(
+        "path",
+        [("request",), ("entities", 0, "type"), ("entities", 0, "display_text"),
+         ("entities", 0, "properties", 0, 0), ("entities", 0, "properties", 0, 1),
+         ("entities", 0, "surrounding", 0, "text"), ("screen", 0, "text")],
+        ids=["request", "type", "display-text", "property-key", "property-value",
+             "surrounding-text", "screen-text"],
+    )
+    @pytest.mark.parametrize("text", ["call \ud800 now", "a\udc80"], ids=["high", "low"])
+    def test_lone_surrogate_escapes_rejected(self, path, text):
+        # json.dumps writes the surrogate as a \ud800 escape, which json.loads
+        # reads back as a lone surrogate; an ASCII-only screen text still
+        # takes the constructor's check.
+        line = good_then_bad(path, text)
+        assert "\\ud800" in line or "\\udc80" in line
+        with pytest.raises(DatasetError, match=r"^line 2: .* must not hold a lone surrogate"):
+            parse_dataset(line)
+        # An escaped surrogate pair is one character, which is fine.
+        [_, dp] = parse_dataset(good_then_bad(path, "a\U0001f600"))
+        assert "a\U0001f600" in json.dumps(datapoint_to_record(dp), ensure_ascii=False)
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t", "\r", " \t\r "])
+    def test_json_whitespace_lines_skipped(self, blank):
+        good = json.dumps(onscreen_record())
+        assert len(parse_dataset(f"{good}\n{blank}\n{good}\n{blank}")) == 2
+
+    @pytest.mark.parametrize(
+        "blank", ["\x0c", "\x1c", "\xa0", "\x85", "\u2028", " \x0b "],
+        ids=["form-feed", "file-separator", "no-break-space", "next-line",
+             "line-separator", "vertical-tab"],
+    )
+    def test_other_whitespace_lines_rejected(self, blank):
+        # str.strip() would call these lines blank; JSON does not.
+        good = json.dumps(onscreen_record())
+        with pytest.raises(DatasetError, match=r"^line 2: Expecting value"):
+            parse_dataset(f"{good}\n{blank}\n{good}")
 
     def test_bool_ground_truth_rejected(self):
         record = {
@@ -684,6 +746,154 @@ class TestDatasetCodec:
         first = record["entities"][0]
         assert first["box"] == [40, 390, 120, 20]
         assert all(set(o) == {"text", "box"} for o in record["screen"])
+
+
+def synthetic_rows(seeds: range) -> list[DataPoint]:
+    """The bundled templates' datapoints, one expansion per seed."""
+    from refkit import generate_datapoints, load_templates
+    from refkit.synth_datagen import bundled_template_dir
+    from refkit.value_bank import pool_entities
+
+    rows = []
+    for seed in seeds:
+        for offset, (template, slots) in enumerate(load_templates(bundled_template_dir())):
+            pool = pool_entities(exclude_types=slots.ground_truth_types)
+            rows.extend(generate_datapoints(template, slots, pool, seed=seed + offset))
+    return rows
+
+
+def traced_peak(call) -> tuple:
+    """call's result, the bytes it still holds allocated and its peak, traced."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+def load_outcomes(data: bytes, tmp_path) -> list:
+    """What each way of loading data gives: datapoints or the error message.
+
+    Valid UTF-8 is also read as text, whole and through a text stream that
+    keeps line endings as they are (newline="").
+    """
+    path = tmp_path / "ds.jsonl"
+    path.write_bytes(data)
+    loads = [
+        lambda: load_dataset(str(path)),
+        lambda: load_dataset(io.BytesIO(data)),
+        lambda: parse_dataset(data),
+    ]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    else:
+        loads.append(lambda: parse_dataset(text))
+        loads.append(lambda: load_dataset(io.TextIOWrapper(io.BytesIO(data), "utf-8", newline="")))
+    outcomes = []
+    for load in loads:
+        try:
+            outcomes.append(load())
+        except DatasetError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+ONSCREEN_LINE = json.dumps(onscreen_record()).encode("utf-8")
+RAINBOW_LINE = json.dumps(datapoint_to_record(rainbow_datapoint()), ensure_ascii=False).encode()
+
+
+class TestStreamingCodec:
+    def test_save_holds_one_record(self, tmp_path):
+        rows = synthetic_rows(range(5))
+        longest = max(map(len, format_dataset(rows).encode("utf-8").splitlines()))
+        assert len(rows) > 3000
+        _, _, peak = traced_peak(lambda: save_dataset(str(tmp_path / "ds.jsonl"), rows))
+        # Holding the whole file, as a payload built first does, takes megabytes.
+        assert peak < 64 * 1024 + 16 * longest
+
+    def test_load_holds_one_record_beyond_its_result(self, tmp_path):
+        record = onscreen_record()
+        path = tmp_path / "ds.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for index in range(200):
+                record["screen"] = [
+                    {"text": f"item {index}-{j}", "box": [j * 1.5, index * 2.5, 1.0, 2.0]}
+                    for j in range(index % 7 * 20)
+                ]
+                handle.write(json.dumps(record) + "\n")
+        data = path.read_bytes()
+        longest = max(map(len, data.splitlines()))
+        assert len(data) > 50 * longest
+        for load in (lambda: load_dataset(str(path)), lambda: load_dataset(io.BytesIO(data))):
+            datapoints, current, peak = traced_peak(load)
+            assert len(datapoints) == 200
+            # Reading the whole file first holds it twice: as bytes and split.
+            assert peak - current < 64 * 1024 + 8 * longest
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (ONSCREEN_LINE + b"\r\n" + RAINBOW_LINE + b"\r\n", 2),
+            (ONSCREEN_LINE + b"\n" + RAINBOW_LINE, 2),
+            (b"\n \t\n" + ONSCREEN_LINE + b"\n\r\n\n" + RAINBOW_LINE + b"\n\n", 2),
+            (RAINBOW_LINE.replace(b"Rainbow", "Rain\u2028bow\u2029".encode()) + b"\n"
+             + RAINBOW_LINE.replace(b"Rainbow", "Rain\x85bow".encode()), 2),
+            (ONSCREEN_LINE.replace(b", ", b",\r ").replace(b": ", b":\r") + b"\r", 1),
+            (ONSCREEN_LINE + b"\n\n" + ONSCREEN_LINE.replace(b"open it", b"open \xff it"),
+             "line 3: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+            (ONSCREEN_LINE + b'\n{"request": "\xe2\x82\n' + ONSCREEN_LINE,
+             "line 2: 'utf-8' codec can't decode bytes in position 13-14: unexpected end of data"),
+            (ONSCREEN_LINE + b"\r\n{not json}\r\n",
+             "line 2: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (ONSCREEN_LINE + b'\n{"request": \n' + ONSCREEN_LINE,
+             "line 2: Expecting value: line 1 column 13 (char 12)"),
+        ],
+        ids=["crlf", "no-final-newline", "blank-lines", "unicode-separators",
+             "lone-cr-between-tokens", "invalid-utf8", "truncated-utf8", "malformed-json",
+             "truncated-json"],
+    )
+    def test_every_load_path_agrees(self, data, expected, tmp_path):
+        outcomes = load_outcomes(data, tmp_path)
+        if isinstance(expected, str):
+            assert outcomes == [expected] * len(outcomes)
+        else:
+            assert len(outcomes[0]) == expected
+            assert all(outcome == outcomes[0] for outcome in outcomes)
+        assert len(outcomes) == (3 if b"\xff" in data or b"\xe2\x82" in data else 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([
+        ONSCREEN_LINE, RAINBOW_LINE, b"", b" \t\r", b"\r", b"\x0c", b"{", b"\xff", b"\xc3",
+        ONSCREEN_LINE.replace(b", ", b",\r"), RAINBOW_LINE + b"\r",
+    ]), max_size=5), st.booleans())
+    def test_every_load_path_agrees_on_any_lines(self, tmp_path_factory, lines, final):
+        data = b"\n".join(lines) + (b"\n" if final else b"")
+        outcomes = load_outcomes(data, tmp_path_factory.mktemp("lines"))
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+    def test_failing_source_leaves_earlier_records(self, tmp_path):
+        datapoints = [realtor_datapoint(), rainbow_datapoint(), alarms_datapoint()]
+
+        def failing_after_two():
+            yield from datapoints[:2]
+            raise RuntimeError("source failed")
+
+        path = tmp_path / "ds.jsonl"
+        buffer = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in (str(path), buffer):
+                with pytest.raises(RuntimeError, match="source failed"):
+                    save_dataset(target, failing_after_two())
+            gc.collect()
+        assert path.read_bytes() == format_dataset(datapoints[:2]).encode("utf-8")
+        assert buffer.getvalue() == format_dataset(datapoints[:2])
+        assert load_dataset(str(path)) == datapoints[:2]
 
 
 def conversational_lines(*entity_lists: list) -> str:
