@@ -258,11 +258,6 @@ def _tokens(text: str) -> set[str]:
     return set(text.lower().split())
 
 
-def has_token_overlap(a: str, b: str) -> bool:
-    """Case-insensitive whitespace-token overlap between two strings."""
-    return bool(_tokens(a) & _tokens(b))
-
-
 def build_cluster_encoding(
     entity_index: int, entity: Entity, clusters: Sequence[Cluster]
 ) -> ClusterEncoding:

@@ -9,14 +9,15 @@ lets entirely new domains flow through prompts without code changes.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .screen_model import Entity
 
 _TYPE_JOIN = " | "
 
-# Most renderings one registry remembers; past it the oldest is dropped, as
-# `re` bounds its compile cache.
+# Most renderings one registry remembers; past it the least recently used is
+# dropped, as `re` bounds its compile cache.
 MAX_MEMO = 4096
 
 
@@ -25,7 +26,7 @@ class RuleError(ValueError):
 
 
 class RuleConflictError(RuleError):
-    """Raised when registering a rule name that already exists."""
+    """Raised when two rules name the same entity type."""
 
 
 def camel_case(type_name: str) -> str:
@@ -38,6 +39,13 @@ def _clean(value: str) -> str:
     return value.replace("\n", " ").replace("\t", " ").replace("\r", " ")
 
 
+def _require_single_line(what: str, text: str) -> None:
+    """RuleError if text holds a character _clean strips from values: a rule
+    string is emitted as given, so one would break or forge a prompt line."""
+    if "\n" in text or "\r" in text or "\t" in text:
+        raise RuleError(f"{what} must not contain a line break or tab, got {text!r}")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """One property to emit: bare value by default, "key: value" when labeled."""
@@ -48,6 +56,7 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if type(self.key) is not str:
             raise RuleError(f"field key must be a string, got {self.key!r}")
+        _require_single_line("field key", self.key)
         if type(self.labeled) is not bool:
             raise RuleError(
                 f"field {self.key!r}: labeled must be true or false, got {self.labeled!r}"
@@ -74,6 +83,8 @@ class TextualizationRule:
             raise RuleError(f"rule type must be a non-empty string, got {name!r}")
         if self.alias is not None and type(self.alias) is not str:
             raise RuleError(f"rule {name!r}: alias must be a string, got {self.alias!r}")
+        if self.alias is not None:
+            _require_single_line(f"rule {name!r}: alias", self.alias)
         if type(self.fields) not in (tuple, list) or not all(
             type(spec) is FieldSpec for spec in self.fields
         ):
@@ -85,6 +96,7 @@ class TextualizationRule:
                 f"rule {name!r}: field_separator must be a string, "
                 f"got {self.field_separator!r}"
             )
+        _require_single_line(f"rule {name!r}: field_separator", self.field_separator)
         object.__setattr__(self, "fields", tuple(self.fields))
 
     @property
@@ -100,50 +112,39 @@ def _tagged(name: str, parts: list[str], separator: str = _TYPE_JOIN) -> str:
     return tag + _TYPE_JOIN + separator.join(parts)
 
 
+def _add_rule(rules: dict[str, TextualizationRule], rule: TextualizationRule) -> None:
+    """File rule under its lowercase type; RuleConflictError if one is there."""
+    key = rule.type_name.lower()
+    if key in rules:
+        raise RuleConflictError(f"rule for {rule.type_name!r} already registered")
+    rules[key] = rule
+
+
 class RuleRegistry:
     """Lookup from lowercase entity type name to its textualization rule.
 
-    Intended usage is build-then-read: populate during startup, then treat
-    as immutable so concurrent readers need no locking. Use copy() to derive
-    a modified registry.
+    Immutable: the rules are fixed at construction, and two rules for one
+    type (compared case-insensitively) are a RuleConflictError, so a registry
+    can be shared across threads without locking. To extend a rule set, build
+    a new registry, e.g. from DEFAULT_RULES with the types you replace left
+    out, or load a rules file over a base with load_rules().
 
     textualize() remembers the string it rendered for each (entity_type,
-    properties), the only entity fields it reads, up to MAX_MEMO of them.
-    register() starts a new memo and copy() gives the copy an empty one. Two
-    threads may render the same entity at once; both store the same string.
+    properties), the only entity fields it reads, in an lru_cache of up to
+    MAX_MEMO entries.
     """
 
     def __init__(self, rules: tuple[TextualizationRule, ...] | list[TextualizationRule] = ()):
         self._rules: dict[str, TextualizationRule] = {}
-        self._memo: dict[tuple[str, tuple[tuple[str, str], ...]], str] = {}
         for rule in rules:
-            self.register(rule)
-
-    def register(self, rule: TextualizationRule, overwrite: bool = False) -> None:
-        key = rule.type_name.lower()
-        if key in self._rules and not overwrite:
-            raise RuleConflictError(f"rule for {rule.type_name!r} already registered")
-        self._rules[key] = rule
-        # A new dict, not clear(): a rendering begun under the old rules then
-        # lands in the old memo, never in this one.
-        self._memo = {}
+            _add_rule(self._rules, rule)
+        self._memo = functools.lru_cache(maxsize=MAX_MEMO)(self._render)
 
     def rule_for(self, type_name: str) -> TextualizationRule | None:
         return self._rules.get(type_name.lower())
 
     def textualize(self, entity: Entity) -> str:
-        memo = self._memo
-        key = (entity.entity_type, entity.properties)
-        text = memo.get(key)
-        if text is None:
-            text = self._render(*key)
-            if len(memo) >= MAX_MEMO:
-                try:
-                    del memo[next(iter(memo))]
-                except (StopIteration, RuntimeError, KeyError):
-                    pass  # another thread changed the memo first
-            memo[key] = text
-        return text
+        return self._memo(entity.entity_type, entity.properties)
 
     def _render(self, entity_type: str, properties: tuple[tuple[str, str], ...]) -> str:
         rule = self.rule_for(entity_type)
@@ -158,11 +159,6 @@ class RuleRegistry:
             value = _clean(values[spec.key])
             parts.append(f"{spec.key}: {value}" if spec.labeled else value)
         return _tagged(rule.display_name, parts, rule.field_separator)
-
-    def copy(self) -> "RuleRegistry":
-        clone = RuleRegistry()
-        clone._rules = dict(self._rules)
-        return clone
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -215,7 +211,7 @@ _DEFAULT_REGISTRY = RuleRegistry(DEFAULT_RULES)
 
 
 def default_registry() -> RuleRegistry:
-    """The built-in rule set. Treat as read-only; copy() before extending."""
+    """The built-in rule set, one registry shared by every caller."""
     return _DEFAULT_REGISTRY
 
 
@@ -269,10 +265,12 @@ def load_rules(path: str, base: RuleRegistry | None = None) -> RuleRegistry:
     holding that list, or a single rule entry. Each entry has: type, alias?,
     field_separator?, fields? (strings or {key, labeled} mappings), and no
     other key, so a misspelled key is an error. Values are not converted: a
-    YAML number or yes/no where a string belongs is an error. When `base` is
-    given, its rules are copied in first and file entries may override them.
-    Every fault raises RuleError naming the file and, where there is one, the
-    0-based entry.
+    YAML number or yes/no where a string belongs is an error, and so is a
+    line break or tab in an alias, field_separator or field key. Two entries
+    for one type are a RuleConflictError. When `base` is given, the result
+    holds its rules for the types the file does not name, plus the file's
+    rules; `base` itself is unchanged. Every fault raises RuleError naming
+    the file and, where there is one, the 0-based entry.
     """
     # Imported here, not at module level, so commands that read no YAML
     # start without loading the parser.
@@ -292,10 +290,12 @@ def load_rules(path: str, base: RuleRegistry | None = None) -> RuleRegistry:
         data = []
     if not isinstance(data, list):
         raise RuleError(f"{path}: rules file must hold a list of rule entries, got {data!r}")
-    registry = base.copy() if base is not None else RuleRegistry()
+    named: dict[str, TextualizationRule] = {}
     for position, entry in enumerate(data):
         try:
-            registry.register(_rule_from_mapping(entry), overwrite=base is not None)
+            _add_rule(named, _rule_from_mapping(entry))
         except RuleError as exc:
             raise type(exc)(f"{path}: entry {position}: {exc}") from exc
-    return registry
+    rules = {} if base is None else dict(base._rules)
+    rules.update(named)
+    return RuleRegistry(tuple(rules.values()))

@@ -508,7 +508,9 @@ def load_dataset(source: str | IO) -> list[DataPoint]:
     the datapoints only the record being decoded is held; the result and
     errors are parse_dataset's. Any other stream is read whole: iterating a
     text stream opened with newline="" would split a record at a lone CR,
-    which JSON allows between tokens.
+    which JSON allows between tokens. A text stream must be opened with
+    newline="": open(path, encoding="utf-8") turns such a CR into a record
+    break. A path or a binary stream has no such limit.
     """
     if isinstance(source, io.BufferedIOBase):
         return _parse_lines(source)

@@ -20,7 +20,7 @@ from refkit import (
     encode_screen,
     rect_distance,
 )
-from refkit.cluster_encoder import NOISE_CLUSTER_ID, Cluster, has_token_overlap
+from refkit.cluster_encoder import NOISE_CLUSTER_ID, Cluster
 from refkit.screen_model import median_height, parse_dataset, unique_objects
 
 from conftest import branches_datapoint
@@ -643,9 +643,27 @@ class TestEncoding:
         assert encoding.surrounding_prompt == ()
 
     def test_overlap_filter_blocks_shared_tokens(self):
-        assert has_token_overlap("5520 Roy St", "Roy & Sons")
-        assert not has_token_overlap("(206) 380 4699", "Queen Anne")
-        assert has_token_overlap("Dark Mode", "dark theme") is True
+        # The neighbour shares the entity's cluster with a token-free control;
+        # it is dropped from the context exactly when it shares a token,
+        # compared case-insensitively.
+        for own, neighbour, kept in [
+            ("5520 Roy St", "Roy & Sons", False),
+            ("(206) 380 4699", "Queen Anne", True),
+            ("Dark Mode", "dark theme", False),
+        ]:
+            objects = (
+                ScreenObject(neighbour, BBox(0, 20, 30, 10)),
+                ScreenObject("Open", BBox(0, 40, 30, 10)),
+            )
+            entity = Entity(
+                "general text",
+                (),
+                display_text=own,
+                placement=Placement(BBox(0, 0, 30, 10), objects),
+            )
+            [encoding] = encode_clusters([], [entity], eps=15)
+            expected = (neighbour, "Open") if kept else ("Open",)
+            assert encoding.surrounding_prompt == expected
 
     def test_no_entity_token_in_any_surrounding(self, branches):
         for entity, encoding in zip(

@@ -121,29 +121,24 @@ class TestGenericRule:
 
 class TestRegistry:
     def test_register_and_use(self):
-        registry = RuleRegistry()
-        registry.register(TextualizationRule("setting", "Setting", fields=(FieldSpec("value"),)))
+        registry = RuleRegistry(
+            [TextualizationRule("setting", "Setting", fields=(FieldSpec("value"),))]
+        )
         entity = Entity("setting", (("value", "dark mode"),))
         assert registry.textualize(entity) == "Type: Setting | dark mode"
 
     def test_duplicate_registration_conflicts(self):
-        registry = RuleRegistry()
         rule = TextualizationRule("setting", "Setting")
-        registry.register(rule)
-        with pytest.raises(RuleConflictError):
-            registry.register(rule)
-        registry.register(TextualizationRule("setting", "Config"), overwrite=True)
-        assert registry.rule_for("setting").alias == "Config"
+        with pytest.raises(RuleConflictError, match="^rule for 'setting' already registered$"):
+            RuleRegistry([rule, rule])
+        # Types compare case-insensitively, as lookups do.
+        with pytest.raises(RuleConflictError, match="^rule for 'Setting' already registered$"):
+            RuleRegistry([rule, TextualizationRule("Setting", "Config")])
 
-    def test_copy_isolates_default_registry(self):
-        copied = default_registry().copy()
-        copied.register(
-            TextualizationRule("person", "Contact", fields=(FieldSpec("name"),)),
-            overwrite=True,
-        )
-        entity = Entity("person", (("name", "Ana"),))
-        assert copied.textualize(entity) == "Type: Contact | Ana"
-        assert textualize_entity(entity) == "Type: Person | Ana"
+    def test_registry_cannot_be_changed(self):
+        for name in ("register", "copy"):
+            assert not hasattr(RuleRegistry, name)
+            assert not hasattr(default_registry(), name)
 
     def test_lookup_is_case_insensitive(self):
         entity = Entity("Phone Number", (("value", "555 0100"),))
@@ -164,45 +159,22 @@ class TestRegistry:
 
 
 class TestMemo:
-    def test_register_after_rendering_changes_result(self):
-        registry = default_registry().copy()
-        person = Entity("person", (("name", "Ana"),))
-        gadget = Entity("gadget", (("value", "whatsit"),))
-        assert registry.textualize(person) == "Type: Person | Ana"
-        assert registry.textualize(gadget) == "Type: Gadget | whatsit"
-        registry.register(
-            TextualizationRule("person", "Contact", fields=(FieldSpec("name"),)),
-            overwrite=True,
-        )
-        registry.register(TextualizationRule("gadget", "Thing"))
-        assert registry.textualize(person) == "Type: Contact | Ana"
-        assert registry.textualize(gadget) == "Type: Thing"
-
-    def test_copy_is_isolated(self):
-        original = RuleRegistry()
-        gadget = Entity("gadget", (("value", "whatsit"),))
-        assert original.textualize(gadget) == "Type: Gadget | whatsit"
-        clone = original.copy()
-        assert not clone._memo
-        clone.register(TextualizationRule("gadget", "Thing"))
-        assert clone.textualize(gadget) == "Type: Thing"
-        assert original.textualize(gadget) == "Type: Gadget | whatsit"
-        widget = Entity("widget")
-        assert original.textualize(widget) == "Type: Widget"
-        assert ("widget", ()) not in clone._memo
-
     def test_memo_is_bounded(self):
         registry = RuleRegistry()
         for i in range(MAX_MEMO + 100):
             entity = Entity("gadget", (("value", f"v{i}"),))
             assert registry.textualize(entity) == f"Type: Gadget | v{i}"
-        assert len(registry._memo) <= MAX_MEMO
+        info = registry._memo.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (MAX_MEMO, MAX_MEMO, MAX_MEMO + 100)
         # The oldest renderings were dropped and render again correctly.
         assert registry.textualize(Entity("gadget", (("value", "v0"),))) == "Type: Gadget | v0"
-        assert len(registry._memo) <= MAX_MEMO
+        assert registry._memo.cache_info().misses == MAX_MEMO + 101
+        # A repeated entity is a hit; it is rendered once.
+        assert registry.textualize(Entity("gadget", (("value", "v0"),))) == "Type: Gadget | v0"
+        assert registry._memo.cache_info().hits == 1
 
     def test_concurrent_readers_get_correct_strings(self, monkeypatch):
-        # A small bound makes the threads also race to drop the oldest entry.
+        # A small bound makes the threads also race to drop entries.
         monkeypatch.setattr("refkit.entity_textualizer.MAX_MEMO", 16)
         entities = pool_entities() + [
             Entity(t, props) for t, props, _ in REPRESENTATION_CORPUS
@@ -234,7 +206,7 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        assert len(registry._memo) <= 16 + len(threads)
+        assert registry._memo.cache_info().currsize <= 16
 
 
 class TestRulesFile:
@@ -298,6 +270,35 @@ class TestRulesFile:
         with pytest.raises(RuleConflictError, match="rules.yaml: entry 1: "):
             load_rules(str(path))
 
+    @pytest.mark.parametrize("base", [None, default_registry()], ids=["no-base", "base"])
+    def test_in_file_duplicate_located_with_or_without_base(self, tmp_path, base):
+        # With a base, the second entry used to replace the first silently.
+        path = tmp_path / "dup.yaml"
+        path.write_text(
+            "- {type: person, alias: First}\n- {type: Person, alias: Second}\n",
+            encoding="utf-8",
+        )
+        message = f"^{re.escape(str(path))}: entry 1: rule for 'Person' already registered$"
+        with pytest.raises(RuleConflictError, match=message):
+            load_rules(str(path), base=base)
+
+    def test_loading_over_a_base_leaves_it_unchanged(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text(
+            "- {type: person, alias: Contact}\n- {type: gadget, alias: Thing}\n",
+            encoding="utf-8",
+        )
+        base = default_registry()
+        registry = load_rules(str(path), base=base)
+        assert len(registry) == len(base) + 1
+        person = Entity("person", (("name", "Ana"),))
+        assert registry.textualize(person) == "Type: Contact"
+        assert registry.textualize(Entity("gadget")) == "Type: Thing"
+        assert default_registry() is base and len(base) == 21
+        for entity_type, properties, expected in REPRESENTATION_CORPUS:
+            assert textualize_entity(Entity(entity_type, properties)) == expected
+        assert textualize_entity(Entity("gadget")) == "Type: Gadget"
+
     @pytest.mark.parametrize(
         "body, message",
         [
@@ -310,12 +311,20 @@ class TestRulesFile:
             (b"- type: 5\n", "entry 0: .*type"),
             (b"- type: a\n  alias: 5\n", "entry 0: .*alias"),
             (b"- type: a\n  field_separator: 5\n", "entry 0: .*field_separator"),
+            (b'- type: person\n  alias: "Person\\n9. Type: Injected"\n',
+             "entry 0: rule 'person': alias must not contain a line break or tab"),
+            (b'- type: a\n- type: b\n  field_separator: "\\n"\n',
+             "entry 1: rule 'b': field_separator must not contain a line break"),
+            (b'- type: a\n  fields: ["name\\nX"]\n', "entry 0: field key must not contain"),
+            (b'- type: a\n  fields: [{key: "a\\rb", labeled: true}]\n',
+             "entry 0: field key must not contain"),
             (b"rules: 5\n", ".*list of rule entries"),
             (b"- type: [a\n", ""),
             (b"- type: \xff\n", ".*utf-8"),
         ],
         ids=["entry-int", "field-int", "fields-string", "labeled-string", "field-no-key",
-             "no-type", "type-int", "alias-int", "separator-int", "rules-int",
+             "no-type", "type-int", "alias-int", "separator-int", "alias-newline",
+             "separator-newline", "key-newline", "key-cr", "rules-int",
              "malformed-yaml", "bad-utf8"],
     )
     def test_malformed_rules_located(self, tmp_path, body, message):
@@ -356,9 +365,13 @@ class TestRulesFile:
             lambda: TextualizationRule("a", fields="name"),
             lambda: TextualizationRule("a", fields=("name",)),
             lambda: TextualizationRule("a", field_separator=None),
+            lambda: FieldSpec("name\nX"),
+            lambda: TextualizationRule("a", alias="A\tB"),
+            lambda: TextualizationRule("a", alias="A\r"),
+            lambda: TextualizationRule("a", field_separator="\n"),
         ],
         ids=["key", "labeled", "type", "alias", "fields-string", "field-string",
-             "separator"],
+             "separator", "key-newline", "alias-tab", "alias-cr", "separator-newline"],
     )
     def test_rule_field_types_rejected(self, build):
         with pytest.raises(RuleError):

@@ -13,12 +13,11 @@ from refkit import (
     ScreenObject,
     build_conversational_prompt,
     build_onscreen_prompt,
-    default_registry,
     encode_screen,
     prompt_for_datapoint,
     shuffle_entities,
 )
-from refkit.entity_textualizer import FieldSpec, TextualizationRule
+from refkit.entity_textualizer import DEFAULT_RULES, FieldSpec, RuleRegistry, TextualizationRule
 from refkit.prompt_builder import options_to_original
 
 from conftest import REALTOR_PARSE_TEXT
@@ -49,16 +48,14 @@ SCREEN_PROMPT = (
 
 
 def labeled_business_registry():
-    registry = default_registry().copy()
-    registry.register(
-        TextualizationRule(
-            "local business",
-            "Local Business",
-            fields=(FieldSpec("Name", True), FieldSpec("Address", True)),
-        ),
-        overwrite=True,
+    labeled = TextualizationRule(
+        "local business",
+        "Local Business",
+        fields=(FieldSpec("Name", True), FieldSpec("Address", True)),
     )
-    return registry
+    return RuleRegistry(
+        [rule for rule in DEFAULT_RULES if rule.type_name != "local business"] + [labeled]
+    )
 
 
 def make_entities(n):
