@@ -57,6 +57,7 @@ from .screen_model import (
     Entity,
     Placement,
     Point,
+    Screen,
     ScreenObject,
     bbox_center,
     load_dataset,

@@ -19,17 +19,20 @@ encode_clusters builds the graph once per scene and eps value, and one
 labeller walks it for each entity in the entity's own order, skipping
 objects outside its set, with no restricted copy. Only that visiting order
 depends on object order, so each result is what clustering the entity's
-objects on their own gives.
+objects on their own gives. It reads the scene through `object_columns`
+and works on object numbers, texts and box tuples, so a decoded Screen is
+never unpacked into ScreenObjects.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import filterfalse
+from typing import Iterable, Mapping, Sequence
 
 from .screen_model import (
-    BBox, Entity, ScreenObject, bbox_center, median_height
+    BBox, Entity, ScreenObject, bbox_center, median, object_columns
 )
 
 NOISE_CLUSTER_ID = -1
@@ -54,16 +57,20 @@ class ClusterEncoding:
     distance_from_left: float
 
 
-def rect_distance(a: BBox, b: BBox) -> float:
-    """Minimum edge-to-edge Euclidean distance; 0 when boxes overlap or touch."""
+def rect_distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """Minimum edge-to-edge Euclidean distance; 0 when boxes overlap or touch.
+
+    Fields are read by position, so a box may be a BBox or any (left, top,
+    width, height) sequence.
+    """
     # Comparisons rather than max(), which costs more than the rest of the
     # function; every tested pair of boxes comes through here.
-    gap_x = a.left - (b.left + b.width)
-    other = b.left - (a.left + a.width)
+    gap_x = a[0] - (b[0] + b[2])
+    other = b[0] - (a[0] + a[2])
     if other > gap_x:
         gap_x = other
-    gap_y = a.top - (b.top + b.height)
-    other = b.top - (a.top + a.height)
+    gap_y = a[1] - (b[1] + b[3])
+    other = b[1] - (a[1] + a[3])
     if other > gap_y:
         gap_y = other
     return math.hypot(gap_x if gap_x > 0.0 else 0.0, gap_y if gap_y > 0.0 else 0.0)
@@ -101,7 +108,7 @@ def _axis_cells(
     return covers, scans
 
 
-def _neighbor_lists(boxes: Sequence[BBox], eps: float) -> list[list[int]]:
+def _neighbor_lists(boxes: Sequence[Sequence[float]], eps: float) -> list[list[int]]:
     """For each box i, the indices j with rect_distance(i, j) <= eps, i first.
 
     Boxes are filed in turn under every cell they cover of a uniform grid of
@@ -150,21 +157,23 @@ def _check_parameters(eps: float, min_pts: int) -> None:
 
 
 def _label_clusters(
-    objects: Sequence[ScreenObject],
+    size: int,
     graph: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
     order: Sequence[int],
     min_pts: int,
-) -> list[Cluster]:
-    """DBSCAN labelling of the objects[n] for n in order, over their eps graph.
+) -> list[list[int]]:
+    """DBSCAN labelling of the objects numbered n in order, each below size,
+    over their eps graph. Returns the members of clusters 0, 1, ... in turn
+    and then the noise (maybe none), each in `order`.
 
-    graph[n] holds the n' with objects[n'] within eps of objects[n], n
-    itself included, in any order; objects not in `order` are neither
-    labelled nor counted as neighbours. Unlabelled points start a cluster in
-    `order`, which alone fixes cluster ids, which cluster claims a border
-    point, and member order: an expansion claims every unclaimed point
-    density-reachable from its start, whatever order it reaches them in.
+    graph[n] holds the n' within eps of n, n itself included, in any order;
+    objects not in `order` are neither labelled nor counted as neighbours.
+    Unlabelled points start a cluster in `order`, which alone fixes cluster
+    ids, which cluster claims a border point, and member order: an expansion
+    claims every unclaimed point density-reachable from its start, whatever
+    order it reaches them in.
     """
-    labels: list[int | None] = [_OUTSIDE] * len(objects)
+    labels: list[int | None] = [_OUTSIDE] * size
     for n in order:
         labels[n] = None
     core = None  # with min_pts 1 every point is core: its neighbourhood holds itself
@@ -191,13 +200,10 @@ def _label_clusters(
         cluster_id += 1
 
     # members[c] for cluster c; members[-1], so members[NOISE_CLUSTER_ID], is noise.
-    members: list[list[ScreenObject]] = [[] for _ in range(cluster_id + 1)]
+    members: list[list[int]] = [[] for _ in range(cluster_id + 1)]
     for n in order:
-        members[labels[n]].append(objects[n])
-    clusters = [Cluster(cid, tuple(group)) for cid, group in enumerate(members[:-1])]
-    if members[-1]:
-        clusters.append(Cluster(NOISE_CLUSTER_ID, tuple(members[-1])))
-    return clusters
+        members[labels[n]].append(n)
+    return members
 
 
 def dbscan_cluster(
@@ -221,37 +227,54 @@ def dbscan_cluster(
     if not objects:
         return []
     graph = _neighbor_lists([obj.box for obj in objects], eps)
-    return _label_clusters(objects, graph, range(len(objects)), min_pts)
+    *groups, noise = _label_clusters(len(objects), graph, range(len(objects)), min_pts)
+    clusters = [
+        Cluster(cid, tuple(map(objects.__getitem__, group))) for cid, group in enumerate(groups)
+    ]
+    if noise:
+        clusters.append(Cluster(NOISE_CLUSTER_ID, tuple(map(objects.__getitem__, noise))))
+    return clusters
+
+
+def _nearest(box: BBox, groups: Iterable[Iterable[Sequence[float]]]) -> int | None:
+    """Position of the group holding the box nearest `box`; the first such
+    group wins a tie. None when no group has a member.
+
+    Groups are scanned in order, member by member, and the first member at
+    distance 0.0 ends the scan: no distance is smaller, and a later group
+    would need a smaller one to win. A scene where no member touches the box
+    still tests every member. The first member seen sets `best` even at a
+    distance that overflows to inf.
+    """
+    best = None
+    best_distance = math.inf
+    for position, members in enumerate(groups):
+        for member in members:
+            distance = rect_distance(box, member)
+            if best is None or distance < best_distance:
+                if distance == 0.0:
+                    return position
+                best = position
+                best_distance = distance
+    return best
 
 
 def assign_entity_cluster(entity: Entity, clusters: Sequence[Cluster]) -> Cluster | None:
     """Nearest real cluster by minimum member distance; ties go to the lowest id.
 
     Returns None when only noise (or nothing) is available, signalling that
-    the encoding should degrade to positioning information alone.
-
-    Clusters are scanned in id order, member by member, and the first member
-    at distance 0.0 ends the scan: no distance is smaller, and a later
-    cluster would need a smaller one to win. A scene where no member touches
-    the entity still tests every member, O(n) per entity. The first member
-    seen sets `best` even at a distance that overflows to inf.
+    the encoding should degrade to positioning information alone. Clusters
+    are scanned in id order and the scan stops at the first member that
+    touches the entity (see _nearest); a scene where none does tests every
+    member, O(n) per entity.
     """
     if entity.placement is None:
         raise ValueError("entity has no placement")
-    box = entity.placement.box
-    best = None
-    best_distance = math.inf
-    for cluster in sorted(clusters, key=lambda c: c.id):
-        if cluster.id == NOISE_CLUSTER_ID:
-            continue
-        for member in cluster.members:
-            distance = rect_distance(box, member.box)
-            if best is None or distance < best_distance:
-                if distance == 0.0:
-                    return cluster
-                best = cluster
-                best_distance = distance
-    return best
+    real = [c for c in sorted(clusters, key=lambda c: c.id) if c.id != NOISE_CLUSTER_ID]
+    position = _nearest(
+        entity.placement.box, ([member.box for member in c.members] for c in real)
+    )
+    return None if position is None else real[position]
 
 
 def _tokens(text: str) -> set[str]:
@@ -268,16 +291,17 @@ def build_cluster_encoding(
     its own context.
     """
     cluster = assign_entity_cluster(entity, clusters)
-    texts: tuple[str, ...] = ()
-    if cluster is not None:
-        own = _tokens(entity.display_text)
-        texts = tuple(
-            member.text for member in cluster.members if own.isdisjoint(_tokens(member.text))
-        )
+    texts = () if cluster is None else [member.text for member in cluster.members]
+    return _encoding(entity_index, entity, texts)
+
+
+def _encoding(entity_index: int, entity: Entity, texts: Iterable[str]) -> ClusterEncoding:
+    """The encoding of the entity whose cluster has these member texts."""
+    own = _tokens(entity.display_text)
     center = bbox_center(entity.placement.box)
     return ClusterEncoding(
         entity_index=entity_index,
-        surrounding_prompt=texts,
+        surrounding_prompt=tuple(text for text in texts if own.isdisjoint(_tokens(text))),
         distance_from_top=center.y,
         distance_from_left=center.x,
     )
@@ -302,22 +326,23 @@ def encode_clusters(
     so every encoding is exactly what dbscan_cluster over the entity's own
     object set gives.
     """
-    # The scene's distinct objects, each numbered once; equal objects share a number.
-    table: list[ScreenObject] = []
-    numbers: dict[ScreenObject, int] = {}
+    # The scene's distinct objects, each numbered once: numbers maps an
+    # object's (text, box) to its number, and texts and boxes hold its fields.
+    numbers: dict[tuple[str, tuple], int] = {}
+    texts: list[str] = []
+    boxes: list[tuple] = []
 
     def numbered(objects: Sequence[ScreenObject]) -> list[int]:
-        found = []
-        for obj in objects:
-            number = numbers.get(obj)
-            if number is None:
-                number = numbers[obj] = len(table)
-                table.append(obj)
-            found.append(number)
-        return found
+        found, *fields = object_columns(objects)
+        keys = list(zip(found, zip(*fields)))
+        for key in filterfalse(numbers.__contains__, keys):
+            numbers[key] = len(texts)
+            texts.append(key[0])
+            boxes.append(key[1])
+        return list(map(numbers.__getitem__, keys))
 
     screen_numbers = numbered(screen)
-    # Per entity: its objects as unique_objects(surrounding, screen) orders them, and eps.
+    # Per entity: its surrounding objects, then the screen's, without repeats; and eps.
     object_sets: list[tuple[list[int], float | None]] = []
     for index, entity in enumerate(entities, 1):
         if entity.placement is None:
@@ -326,7 +351,7 @@ def encode_clusters(
         entity_eps = eps
         if own:
             if eps is None:
-                entity_eps = median_height(table[n].box for n in own) or 1.0
+                entity_eps = median(boxes[number][3] for number in own) or 1.0
             _check_parameters(entity_eps, min_pts)
         object_sets.append((own, entity_eps))
 
@@ -338,15 +363,20 @@ def encode_clusters(
     graphs: dict[float, dict[int, list[int]]] = {}
     for graph_eps, union in unions.items():
         members = list(union)
-        near = _neighbor_lists([table[n].box for n in members], graph_eps)
+        near = _neighbor_lists([boxes[n] for n in members], graph_eps)
         graphs[graph_eps] = {
             n: [members[j] for j in around] for n, around in zip(members, near)
         }
 
     encodings = []
     for index, (entity, (own, entity_eps)) in enumerate(zip(entities, object_sets), 1):
-        clusters: list[Cluster] = []
+        member_texts: Iterable[str] = ()
         if own:
-            clusters = _label_clusters(table, graphs[entity_eps], own, min_pts)
-        encodings.append(build_cluster_encoding(index, entity, clusters))
+            *groups, _ = _label_clusters(len(texts), graphs[entity_eps], own, min_pts)
+            position = _nearest(
+                entity.placement.box, (map(boxes.__getitem__, group) for group in groups)
+            )
+            if position is not None:
+                member_texts = map(texts.__getitem__, groups[position])
+        encodings.append(_encoding(index, entity, member_texts))
     return encodings

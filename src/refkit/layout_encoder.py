@@ -8,18 +8,21 @@ the object set as numbered `{{i. text}}` markers so a downstream model can
 name them by index. The separators and the marker form are fixed; only the
 margin and the marker injection are configurable.
 
-Each step is a private function over parallel lists: the texts, the boxes,
-the box centres (each computed once, with the same float expressions as
-`bbox_center`) and the reading order as a list of positions. So encoding a
-screen builds a few lists and one string per line rather than an object per
-text box.
+Each step is a private function over parallel lists: the texts, the box
+fields as four columns (read through `object_columns`, so a decoded Screen
+is never unpacked into objects), the box centres (each computed once, with
+the same float expressions as `bbox_center`) and the reading order as a list
+of positions. So encoding a screen builds a few lists and one string per
+line rather than objects per text box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress, islice, repeat
+from operator import add, not_, truediv
+from typing import Sequence
 
-from .screen_model import BBox, Entity, ScreenObject, median_height, unique_objects
+from .screen_model import Entity, ScreenObject, median, object_columns
 
 SAME_LINE_SEPARATOR = "\t"
 LINE_SEPARATOR = "\n"
@@ -64,9 +67,10 @@ def marker_text(index: int, display_text: str) -> str:
 
 def _collect(
     screen: Sequence[ScreenObject], entities: Sequence[Entity], inject_markers: bool
-) -> tuple[list[str], list[BBox], int]:
-    """The texts and boxes to render, as parallel lists, plus the position of
-    the first entity marker (the list length when there is none).
+) -> tuple[list[list], int]:
+    """The columns to render: texts, lefts, tops, widths and heights, as
+    parallel lists, plus the position of the first entity marker (the list
+    length when there is none).
 
     Plain objects come first, deduplicated by (text, box) in first-seen
     order, without those sitting at an entity's own box; then one entry per
@@ -77,29 +81,39 @@ def _collect(
         if entity.placement is None:
             raise ValueError(f"entity {position} has no placement")
 
-    plain = unique_objects(screen, *(entity.placement.surrounding for entity in entities))
-    entity_boxes = {entity.placement.box for entity in entities}
-    texts = []
-    boxes = []
-    for text, box in plain:
-        if box not in entity_boxes:
-            texts.append(text)
-            boxes.append(box)
+    # Keys (text, left, top, width, height) of the screen's objects, then the surrounding ones.
+    columns = [list(column) for column in object_columns(screen)]
+    keys = dict.fromkeys(zip(*columns))
+    if len(keys) < len(columns[0]):  # the screen repeats an object
+        columns = [list(column) for column in zip(*keys)]
+    on_screen = len(keys)
+    for entity in entities:
+        for text, box in entity.placement.surrounding:
+            keys[(text, *box)] = None
+    for column, values in zip(columns, zip(*islice(keys, on_screen, None))):
+        column.extend(values)
+    boxes = [entity.placement.box for entity in entities]
+    entity_boxes = set(boxes)
+    at_entity = list(map(entity_boxes.__contains__, zip(*columns[1:])))
+    if any(at_entity):
+        columns = [list(compress(column, map(not_, at_entity))) for column in columns]
+    texts = columns[0]
     first_marker = len(texts) if inject_markers else len(texts) + len(entities)
-    for index, entity in enumerate(entities, 1):
-        display = entity.display_text
-        texts.append(marker_text(index, display) if inject_markers else display)
-        boxes.append(entity.placement.box)
-    return texts, boxes, first_marker
+    displays = [entity.display_text for entity in entities]
+    if inject_markers:
+        displays = [marker_text(index, text) for index, text in enumerate(displays, 1)]
+    texts.extend(displays)
+    for column, values in zip(columns[1:], zip(*boxes)):
+        column.extend(values)
+    return columns, first_marker
 
 
-def _centers(boxes: Iterable[BBox]) -> tuple[list[float], list[float]]:
+def _centers(
+    lefts: Sequence[float], tops: Sequence[float], widths: Sequence[float], heights: Sequence[float]
+) -> tuple[list[float], list[float]]:
     """Each box's center x and center y, as `bbox_center` computes them."""
-    center_xs = []
-    center_ys = []
-    for left, top, width, height in boxes:
-        center_xs.append(left + width / 2)
-        center_ys.append(top + height / 2)
+    center_xs = list(map(add, lefts, map(truediv, widths, repeat(2))))
+    center_ys = list(map(add, tops, map(truediv, heights, repeat(2))))
     return center_xs, center_ys
 
 
@@ -167,9 +181,9 @@ def encode_screen(
 ) -> OnscreenParse:
     """Full encoding: collect, sort, group by margin, render."""
     config = config or EncoderConfig()
-    texts, boxes, first_marker = _collect(screen, entities, config.inject_markers)
-    center_xs, center_ys = _centers(boxes)
-    margin = config.margin if config.margin is not None else 0.5 * median_height(boxes)
+    (texts, *fields), first_marker = _collect(screen, entities, config.inject_markers)
+    center_xs, center_ys = _centers(*fields)
+    margin = config.margin if config.margin is not None else 0.5 * median(fields[3])
     order = _reading_order(center_xs, center_ys)
     starts, marks = _group(order, center_ys, margin, first_marker)
     return _render(list(map(texts.__getitem__, order)), starts, marks)

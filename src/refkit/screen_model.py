@@ -9,6 +9,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -103,6 +106,19 @@ def bbox_center(box: BBox) -> Point:
     return Point(box.left + box.width / 2, box.top + box.height / 2)
 
 
+def _check_screen_text(text: object) -> None:
+    """ValueError, naming what is wrong, unless text may be a ScreenObject's."""
+    if type(text) is not str:
+        raise ValueError(f"screen object text must be a string, got {text!r}")
+    if not text:
+        raise ValueError("ScreenObject.text must be non-empty")
+    _require_utf8(text, "ScreenObject.text")
+    if "\n" in text or "\t" in text:
+        raise ValueError("ScreenObject.text must not contain newline or tab")
+    if "{{" in text or "}}" in text:
+        raise ValueError(f"ScreenObject.text must not contain a marker delimiter, got {text!r}")
+
+
 class _ScreenObjectFields(NamedTuple):
     text: str
     box: BBox
@@ -126,17 +142,7 @@ class ScreenObject(_ScreenObjectFields):
     __slots__ = ()
 
     def __new__(cls, text: str, box: BBox) -> ScreenObject:
-        if type(text) is not str:
-            raise ValueError(f"screen object text must be a string, got {text!r}")
-        if not text:
-            raise ValueError("ScreenObject.text must be non-empty")
-        _require_utf8(text, "ScreenObject.text")
-        if "\n" in text or "\t" in text:
-            raise ValueError("ScreenObject.text must not contain newline or tab")
-        if "{{" in text or "}}" in text:
-            raise ValueError(
-                f"ScreenObject.text must not contain a marker delimiter, got {text!r}"
-            )
+        _check_screen_text(text)
         if type(box) is not BBox:
             raise ValueError(f"screen object box must be a BBox, got {box!r}")
         return tuple.__new__(cls, (text, box))
@@ -151,6 +157,11 @@ class ScreenObject(_ScreenObjectFields):
         return type(self), tuple(self)
 
 
+def _checked_object(text: str, box: Iterable[float]) -> ScreenObject:
+    """The ScreenObject of a text and four box fields that are already checked."""
+    return tuple.__new__(ScreenObject, (text, tuple.__new__(BBox, box)))
+
+
 def _items_of(values: Iterable, item_type: type, field: str) -> tuple:
     """values as a tuple, when each item is exactly an item_type; else ValueError."""
     try:
@@ -161,6 +172,98 @@ def _items_of(values: Iterable, item_type: type, field: str) -> tuple:
         bad = next(item for item in items if type(item) is not item_type)
         raise ValueError(f"{field} items must be {item_type.__name__}, got {bad!r}")
     return items
+
+
+class Screen(Sequence):
+    """An immutable sequence of ScreenObjects held as columns.
+
+    A tuple of the texts and one array('d') of the box fields, four per
+    object (left, top, width, height), in the manner of the Apache Arrow
+    columnar format: per object it holds one text reference and 32 bytes,
+    and no object the cyclic garbage collector tracks. Indexing (negative
+    indices too) and iteration build ScreenObjects on demand, and a slice is
+    a Screen. A Screen equals, and hashes like, the tuple of its objects;
+    it pickles through that tuple, so unpickling makes the constructor's
+    checks. Box fields are held as floats, so an int field reads back as the
+    equal float: a screen whose ints must be written as ints stays a tuple.
+    The dataset codec decodes each `screen` into one; the encoders read its
+    columns through `object_columns`.
+    """
+
+    __slots__ = ("_texts", "_fields")
+
+    def __new__(cls, objects: Iterable[ScreenObject] = ()) -> Screen:
+        objects = _items_of(objects, ScreenObject, "screen")
+        return cls._of(
+            tuple([obj[0] for obj in objects]),
+            array("d", chain.from_iterable([obj[1] for obj in objects])),
+        )
+
+    @classmethod
+    def _of(cls, texts: tuple[str, ...], fields: array) -> Screen:
+        """A Screen over columns already checked: 4 * len(texts) box fields."""
+        screen = object.__new__(cls)
+        object.__setattr__(screen, "_texts", texts)
+        object.__setattr__(screen, "_fields", fields)
+        return screen
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Screen is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Screen is immutable: cannot delete {name!r}")
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+    def __getitem__(self, index):
+        texts, fields = self._texts, self._fields
+        if isinstance(index, slice):
+            positions = range(len(texts))[index]
+            part = chain.from_iterable(fields[4 * at : 4 * at + 4] for at in positions)
+            return Screen._of(texts[index], array("d", part))
+        text = texts[index]  # raises for an index a tuple would refuse
+        at = 4 * (operator.index(index) % len(texts))
+        return _checked_object(text, fields[at : at + 4])
+
+    def __iter__(self) -> Iterator[ScreenObject]:
+        fields = self._fields
+        for at, text in enumerate(self._texts):
+            yield _checked_object(text, fields[4 * at : 4 * at + 4])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Screen:
+            return self._texts == other._texts and self._fields == other._fields
+        if isinstance(other, tuple):
+            return len(other) == len(self._texts) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Screen({tuple(self)!r})"
+
+    def __reduce__(self) -> tuple:
+        return Screen, (tuple(self),)
+
+
+def object_columns(objects: Sequence[ScreenObject]) -> tuple[Sequence, ...]:
+    """The texts and the left, top, width and height fields of objects, as
+    five parallel sequences.
+
+    The one column reader of the encoders. For a Screen these are its text
+    tuple and four strided slices of its box array, each taken in C; any
+    other sequence of ScreenObjects is unzipped, its fields kept as they are.
+    """
+    if type(objects) is Screen:
+        fields = objects._fields
+        return objects._texts, fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    pairs = tuple(zip(*objects))
+    if not pairs:
+        return (), (), (), (), ()
+    texts, boxes = pairs
+    return (texts, *zip(*boxes))
 
 
 @dataclass(frozen=True)
@@ -238,19 +341,21 @@ class DataPoint:
 
     ground_truth holds 1-based positions into `entities`; empty means no
     entity is relevant. `screen` carries the full-screen text objects for
-    on-screen datapoints. The request is one line of the prompt, so line
-    breaks in it are rejected: they could forge the lines that follow it.
+    on-screen datapoints: a Screen is kept as it is (the codec decodes one),
+    and any other iterable becomes the tuple of its objects. The request is
+    one line of the prompt, so line breaks in it are rejected: they could
+    forge the lines that follow it.
     """
 
     request: str
     entities: tuple[Entity, ...]
     ground_truth: frozenset[int] = frozenset()
     kind: str = "conversational"
-    screen: tuple[ScreenObject, ...] | None = None
+    screen: Sequence[ScreenObject] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entities", _items_of(self.entities, Entity, "entities"))
-        if self.screen is not None:
+        if self.screen is not None and type(self.screen) is not Screen:
             object.__setattr__(
                 self, "screen", _items_of(self.screen, ScreenObject, "screen")
             )
@@ -276,25 +381,16 @@ class DataPoint:
                     )
 
 
-def unique_objects(*groups: Iterable[ScreenObject]) -> list[ScreenObject]:
-    """The objects of all groups in order, deduplicated by (text, box)."""
-    return list(dict.fromkeys(chain.from_iterable(groups)))
-
-
-def median_height(boxes: Iterable[BBox]) -> float:
-    """Median height of the boxes; 0.0 when there are none.
-
-    The middle height, or the mean of the two middle ones for an even count,
-    as `statistics.median` computes it.
-    """
-    heights = [box.height for box in boxes]
-    if not heights:
+def median(values: Iterable[float]) -> float:
+    """The middle value, or the mean of the two middle ones for an even
+    count, as `statistics.median` computes it; 0.0 when there are none."""
+    ordered = sorted(values)
+    if not ordered:
         return 0.0
-    heights.sort()
-    middle = len(heights) // 2
-    if len(heights) % 2:
-        return heights[middle]
-    return (heights[middle - 1] + heights[middle]) / 2
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 # --- JSONL dataset codec ---------------------------------------------------
@@ -307,12 +403,24 @@ def _expect(value: object, field: str) -> list:
 
 
 def _box_from_json(value: object) -> BBox:
-    """The box a decoded JSON value holds, its numbers checked once.
+    """The box a decoded JSON value holds, its fields made floats."""
+    if (
+        type(value) is not list
+        or len(value) != 4
+        or not _NUMBER_TYPES.issuperset(map(type, value))
+    ):
+        raise ValueError(f"box must be an array of 4 numbers, got {value!r}")
+    return BBox(*map(float, value))
+
+
+def _box_fields(value: object) -> Sequence[float]:
+    """The four float fields of the box a decoded JSON value holds.
 
     Four floats with non-negative sizes and a finite sum already make a
-    valid box: a NaN fails `>= 0` or makes the sum NaN, and an infinity
-    makes it non-finite. Anything else (an int field, NaN, an infinity, a
-    negative size, a sum that overflows) takes the checked path.
+    valid box, and are returned as they are: a NaN fails `>= 0` or makes the
+    sum NaN, and an infinity makes it non-finite. Anything else (an int
+    field, NaN, an infinity, a negative size, a sum that overflows) takes
+    _box_from_json's checked path.
     """
     if type(value) is list and len(value) == 4:
         left, top, width, height = value
@@ -325,46 +433,45 @@ def _box_from_json(value: object) -> BBox:
             and height >= 0.0
             and math.isfinite(left + top + width + height)
         ):
-            return tuple.__new__(BBox, value)
-    if (
-        type(value) is not list
-        or len(value) != 4
-        or not _NUMBER_TYPES.issuperset(map(type, value))
-    ):
-        raise ValueError(f"box must be an array of 4 numbers, got {value!r}")
-    return BBox(*map(float, value))
+            return value
+    return _box_from_json(value)
 
 
-def _object_to_json(obj: ScreenObject) -> dict:
-    return {"text": obj.text, "box": list(obj.box)}
+def _objects_to_json(objects: Sequence[ScreenObject]) -> list[dict]:
+    """The JSON values of objects, each field written as it is held."""
+    return [
+        {"text": text, "box": [left, top, width, height]}
+        for text, left, top, width, height in zip(*object_columns(objects))
+    ]
 
 
-def _object_from_json(value: object) -> ScreenObject:
-    """The screen object a decoded JSON value holds, its text checked once.
+def _objects_from_json(value: object, field: str) -> tuple[list[str], list[Sequence[float]]]:
+    """The texts and boxes of a decoded JSON array of screen objects, as
+    parallel lists, each checked once; every box is four floats.
 
-    An ASCII text that meets ScreenObject's conditions makes the tuple
-    directly; any other goes to the constructor, which checks it whole and
-    names what is wrong.
+    A text that is ASCII and meets ScreenObject's conditions is taken as it
+    is; any other goes to _check_screen_text, which names what is wrong. A
+    bad box is named before a bad text.
     """
-    if not isinstance(value, dict):
-        raise ValueError(f"screen object must be an object, got {value!r}")
-    text = value["text"]
-    box = _box_from_json(value["box"])
-    if (
-        type(text) is str
-        and text
-        and "\n" not in text
-        and "\t" not in text
-        and "{{" not in text
-        and "}}" not in text
-        and text.isascii()
-    ):
-        return tuple.__new__(ScreenObject, (text, box))
-    return ScreenObject(text, box)
-
-
-def _objects_from_json(value: object, field: str) -> tuple[ScreenObject, ...]:
-    return tuple([_object_from_json(o) for o in _expect(value, field)])
+    texts = []
+    boxes = []
+    for entry in _expect(value, field):
+        if not isinstance(entry, dict):
+            raise ValueError(f"screen object must be an object, got {entry!r}")
+        text = entry["text"]
+        boxes.append(_box_fields(entry["box"]))
+        if not (
+            type(text) is str
+            and text
+            and "\n" not in text
+            and "\t" not in text
+            and "{{" not in text
+            and "}}" not in text
+            and text.isascii()
+        ):
+            _check_screen_text(text)
+        texts.append(text)
+    return texts, boxes
 
 
 def _entity_to_json(entity: Entity) -> dict:
@@ -376,7 +483,7 @@ def _entity_to_json(entity: Entity) -> dict:
         record["display_text"] = entity.display_text
     if entity.placement is not None:
         record["box"] = list(entity.placement.box)
-        record["surrounding"] = [_object_to_json(o) for o in entity.placement.surrounding]
+        record["surrounding"] = _objects_to_json(entity.placement.surrounding)
     return record
 
 
@@ -394,7 +501,9 @@ def _entity_from_json(value: object, shared: dict) -> Entity:
     if "box" in value:
         placement = Placement(
             box=_box_from_json(value["box"]),
-            surrounding=_objects_from_json(value.get("surrounding", []), "surrounding"),
+            surrounding=tuple(map(
+                _checked_object, *_objects_from_json(value.get("surrounding", []), "surrounding")
+            )),
         )
     entity_type = value["type"]
     properties = value.get("properties", ())
@@ -427,7 +536,7 @@ def datapoint_to_record(datapoint: DataPoint) -> dict:
         "entities": [_entity_to_json(e) for e in datapoint.entities],
     }
     if datapoint.screen is not None:
-        record["screen"] = [_object_to_json(o) for o in datapoint.screen]
+        record["screen"] = _objects_to_json(datapoint.screen)
     record["ground_truth"] = sorted(datapoint.ground_truth)
     return record
 
@@ -441,7 +550,8 @@ def datapoint_from_record(record: object, shared: dict) -> DataPoint:
             raise ValueError(f"record missing required field {key!r}")
     screen = None
     if "screen" in record:
-        screen = _objects_from_json(record["screen"], "screen")
+        texts, boxes = _objects_from_json(record["screen"], "screen")
+        screen = Screen._of(tuple(texts), array("d", list(chain.from_iterable(boxes))))
     return DataPoint(
         request=record["request"],
         entities=tuple(

@@ -21,7 +21,7 @@ from refkit import (
     rect_distance,
 )
 from refkit.cluster_encoder import NOISE_CLUSTER_ID, Cluster
-from refkit.screen_model import median_height, parse_dataset, unique_objects
+from refkit.screen_model import median, parse_dataset
 
 from conftest import branches_datapoint
 
@@ -69,6 +69,11 @@ def text_grid(n: int, columns: int = 40) -> list[ScreenObject]:
         ScreenObject(f"w{i}", BBox((i % columns) * 50.0, (i // columns) * 15.0, 40.0, 10.0))
         for i in range(n)
     ]
+
+
+def unique_objects(*groups):
+    """The objects of all groups in order, deduplicated by (text, box)."""
+    return list(dict.fromkeys(obj for group in groups for obj in group))
 
 
 def cluster_labels(objects, clusters):
@@ -473,7 +478,7 @@ class TestAssign:
         for datapoint in parse_dataset(benchmark_input("cluster-encode")):
             for entity in datapoint.entities:
                 objects = unique_objects(entity.placement.surrounding, datapoint.screen)
-                clusters = dbscan_cluster(objects, median_height(o.box for o in objects) or 1.0)
+                clusters = dbscan_cluster(objects, median(o.box.height for o in objects) or 1.0)
                 assignments.append((entity, clusters, min_over_members(entity, clusters)))
         calls = 0
         exact = cluster_encoder.rect_distance
@@ -499,7 +504,7 @@ def per_entity_encodings(screen, entities, eps=None, min_pts=1):
         objects = unique_objects(entity.placement.surrounding, screen)
         clusters = []
         if objects:
-            entity_eps = (median_height(o.box for o in objects) or 1.0) if eps is None else eps
+            entity_eps = (median(o.box.height for o in objects) or 1.0) if eps is None else eps
             clusters = dbscan_cluster(objects, entity_eps, min_pts)
         encodings.append(build_cluster_encoding(index, entity, clusters))
     return encodings

@@ -4,7 +4,7 @@ from collections import Counter
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refkit import (
@@ -12,8 +12,10 @@ from refkit import (
     EncoderConfig,
     Entity,
     Placement,
+    Screen,
     ScreenObject,
     bbox_center,
+    encode_clusters,
     encode_screen,
 )
 from refkit.layout_encoder import marker_text
@@ -448,6 +450,81 @@ class TestReferenceEquivalence:
             parse = encode_screen(screen, entities, config)
             assert parse.text.count("\n") > 50
             assert (parse.text, parse.marker_spans) == reference_encode(screen, entities, config)
+
+
+# Float fields, as a Screen holds them, on few values so boxes repeat.
+float_grid = st.sampled_from([0.0, -0.0, 2.5, 5.0, 7.5, -2.5])
+float_boxes = st.builds(BBox, float_grid, float_grid, st.sampled_from([0.0, 2.5, 10.0]),
+                        st.sampled_from([0.0, 2.0, 5.0]))
+
+
+@st.composite
+def column_scenes(draw):
+    """A screen whose texts are all distinct or drawn from two, now and then
+    with an object repeated; entities whose surroundings mix screen objects,
+    objects with a screen text at another box, new ones and int-box copies;
+    entity boxes that are sometimes a screen object's."""
+    count = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        texts = [f"t{i}" for i in range(count)]
+    else:
+        texts = draw(st.lists(st.sampled_from(["a", "b"]), min_size=count, max_size=count))
+    screen = [ScreenObject(text, draw(float_boxes)) for text in texts]
+    if screen and draw(st.booleans()):
+        screen.insert(draw(st.integers(0, len(screen))), draw(st.sampled_from(screen)))
+    private = st.builds(ScreenObject, st.sampled_from([*texts, "p"]) if texts else st.just("p"),
+                        float_boxes)
+    entities = []
+    for number in range(draw(st.integers(0, 3))):
+        surrounding = draw(st.lists(st.sampled_from(screen), max_size=3)) if screen else []
+        surrounding += draw(st.lists(private, max_size=2))
+        if screen and draw(st.booleans()):
+            text, box = draw(st.sampled_from(screen))
+            surrounding.append(ScreenObject(text, BBox(*map(int, box))))
+        box = draw(st.sampled_from([o.box for o in screen]) | float_boxes if screen else float_boxes)
+        placement = Placement(box, tuple(draw(st.permutations(surrounding))))
+        entities.append(Entity("general text", (), f"e{number}", placement))
+    config = EncoderConfig(margin=draw(st.none() | st.just(2.5)), inject_markers=draw(st.booleans()))
+    return screen, entities, config
+
+
+def assert_screen_and_tuple_encode_alike(screen, entities, config):
+    columns = Screen(screen)
+    rows = tuple(columns)
+    parse = encode_screen(columns, entities, config)
+    assert parse == encode_screen(rows, entities, config)
+    assert (parse.text, parse.marker_spans) == reference_encode(rows, entities, config)
+    for eps, min_pts in ((None, 1), (2.5, 1), (None, 2)):
+        assert encode_clusters(columns, entities, eps, min_pts) == (
+            encode_clusters(rows, entities, eps, min_pts)
+        )
+
+
+class TestColumnReader:
+    """Both encoders read a Screen's columns and any other sequence's objects
+    through one reader, so the two must give the same output."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_scenes())
+    def test_screen_and_its_tuple_encode_alike(self, scene):
+        assert_screen_and_tuple_encode_alike(*scene)
+
+    def test_duplicates_and_objects_at_an_entity_box(self):
+        header = ScreenObject("Header", BBox(0.0, 0.0, 50.0, 10.0))
+        phone = ScreenObject("555 0100", BBox(0.0, 20.0, 40.0, 10.0))
+        moved = ScreenObject("Header", BBox(60.0, 0.0, 50.0, 10.0))
+        screen = [header, phone, ScreenObject("Footer", BBox(0.0, 40.0, 50.0, 10.0)), header]
+        entities = [
+            Entity("phone number", (), "555 0100", Placement(phone.box, (header, moved))),
+            Entity("general text", (), "Footer", Placement(BBox(0.0, 40.0, 50.0, 10.0))),
+        ]
+        config = EncoderConfig()
+        assert encode_screen(Screen(screen), entities, config).text == (
+            "Header\tHeader\n{{1. 555 0100}}\n{{2. Footer}}"
+        )
+        assert_screen_and_tuple_encode_alike(screen, entities, config)
+        # The same screen without its repeated object.
+        assert_screen_and_tuple_encode_alike(screen[:3], entities, config)
 
 
 class TestConfigValidation:

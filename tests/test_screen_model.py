@@ -22,13 +22,14 @@ from refkit import (
     Entity,
     Placement,
     Point,
+    Screen,
     ScreenObject,
     bbox_center,
     load_dataset,
     parse_dataset,
     save_dataset,
 )
-from refkit.screen_model import datapoint_to_record, format_dataset, median_height
+from refkit.screen_model import datapoint_to_record, format_dataset, median
 
 from conftest import (
     DATA_DIR,
@@ -139,7 +140,7 @@ class TestBBox:
     @given(st.lists(sizes | st.integers(0, 10**6), max_size=9))
     def test_median_height_is_statistics_median(self, heights):
         expected = statistics.median(heights) if heights else 0.0
-        assert repr(median_height(BBox(0, 0, 1, h) for h in heights)) == repr(expected)
+        assert repr(median(BBox(0, 0, 1, h).height for h in heights)) == repr(expected)
 
 
 class TestInvariants:
@@ -984,3 +985,216 @@ class TestEntitySharing:
         assert parse_dataset(text) == rows
         assert len(records) > 4 * len(distinct)
         assert 0 < builds <= len(distinct)
+
+
+# --- Screen: texts plus one array of box fields --------------------------------
+
+screen_texts = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\t{}"),
+    min_size=1,
+    max_size=6,
+) | st.sampled_from(["a", "b", "a b", "{a}", "é"])
+screen_boxes = st.builds(
+    BBox,
+    st.sampled_from([0.0, -0.0, 1.5, -2.0]) | coords,
+    st.sampled_from([0.0, -0.0, 1.5, -2.0]) | coords,
+    st.sampled_from([0.0, -0.0, 2.0]) | sizes,
+    st.sampled_from([0.0, -0.0, 2.0]) | sizes,
+)
+screen_object_lists = st.lists(st.builds(ScreenObject, screen_texts, screen_boxes), max_size=8)
+
+
+def field_reprs(objects) -> list:
+    """Each object's text and the repr of each box field, so -0.0 differs from 0.0."""
+    return [(obj.text, [repr(value) for value in obj.box]) for obj in objects]
+
+
+class TestScreen:
+    @given(screen_object_lists)
+    def test_equals_and_hashes_like_its_tuple(self, objects):
+        screen = Screen(objects)
+        expected = tuple(objects)
+        assert screen == expected and expected == screen and not screen != expected
+        assert hash(screen) == hash(expected)
+        assert screen == Screen(expected) and hash(screen) == hash(Screen(expected))
+        assert len(screen) == len(expected)
+        assert bool(screen) is bool(expected)
+        assert field_reprs(screen) == field_reprs(expected)
+        assert [type(obj) for obj in screen] == [ScreenObject] * len(expected)
+        assert all(type(obj.box) is BBox for obj in screen)
+        # Like a tuple, it equals no other sequence type and no longer tuple.
+        assert screen != list(expected)
+        assert screen != expected + (ScreenObject("x", BBox(0.0, 0.0, 0.0, 0.0)),)
+        if expected:
+            assert screen != expected[1:] and screen != Screen(expected[:-1])
+
+    @given(screen_object_lists, st.data())
+    def test_indices_and_slices_act_as_on_the_tuple(self, objects, data):
+        screen = Screen(objects)
+        expected = tuple(objects)
+        n = len(expected)
+        for index in range(-n - 2, n + 2):
+            if -n <= index < n:
+                assert screen[index] == expected[index]
+                assert field_reprs([screen[index]]) == field_reprs([expected[index]])
+            else:
+                with pytest.raises(IndexError):
+                    screen[index]
+        with pytest.raises(TypeError):
+            screen["0"]
+        part = data.draw(st.slices(n + 2))
+        assert type(screen[part]) is Screen
+        assert screen[part] == expected[part]
+        assert field_reprs(screen[part]) == field_reprs(expected[part])
+
+    @given(screen_object_lists)
+    def test_pickles_and_copies(self, objects):
+        screen = Screen(objects)
+        copies = [pickle.loads(pickle.dumps(screen, protocol)) for protocol in range(6)]
+        copies += [copy.copy(screen), copy.deepcopy(screen)]
+        for other in copies:
+            assert type(other) is Screen
+            assert other == screen and field_reprs(other) == field_reprs(screen)
+
+    def test_is_immutable(self):
+        screen = Screen([ScreenObject("a", BBox(0.0, 0.0, 1.0, 1.0))])
+        with pytest.raises(AttributeError):
+            screen._texts = ("b",)
+        with pytest.raises(AttributeError):
+            del screen._fields
+        with pytest.raises(AttributeError):
+            screen.extra = 1
+
+    def test_holds_only_screen_objects(self):
+        with pytest.raises(ValueError, match="screen items must be ScreenObject"):
+            Screen([("a", BBox(0, 0, 1, 1))])
+
+    def test_int_fields_read_back_as_floats(self):
+        [obj] = Screen([ScreenObject("a", BBox(1, 2, 3, 4))])
+        assert obj == ("a", (1, 2, 3, 4))
+        assert [repr(value) for value in obj.box] == ["1.0", "2.0", "3.0", "4.0"]
+
+    @settings(max_examples=50)
+    @given(screen_object_lists)
+    def test_decoded_datapoint_equals_the_one_built_in_memory(self, objects):
+        near = ScreenObject("near", BBox(0.5, 2.5, 1.0, 1.0))
+        entity = Entity("url", (("value", "a"),), "a", Placement(BBox(0.0, 0.0, 1.0, 2.0), (near,)))
+        built = DataPoint("open it", (entity,), frozenset({1}), "onscreen", screen=objects)
+        assert type(built.screen) is tuple
+        [decoded] = parse_dataset(format_dataset([built]))
+        assert type(decoded.screen) is Screen
+        assert decoded == built and built == decoded
+        assert hash(decoded) == hash(built)
+        assert field_reprs(decoded.screen) == field_reprs(built.screen)
+        assert format_dataset([decoded]) == format_dataset([built])
+
+
+def screen_line(*entries) -> str:
+    """A valid on-screen record, then one whose screen holds entries after a valid one."""
+    good = {"text": "ok", "box": [0.0, 1.0, 2.0, 3.0]}
+    bad = onscreen_record()
+    bad["screen"] = [good, *entries]
+    return json.dumps(onscreen_record()) + "\n" + json.dumps(bad)
+
+
+# The messages the codec gave for these entries before screens were held as
+# columns; each must stay byte for byte the same.
+MALFORMED_SCREEN_ENTRIES = {
+    "non-object": (5, "line 2: screen object must be an object, got 5"),
+    "array-entry": (
+        ["a", [0.0, 0.0, 1.0, 1.0]],
+        "line 2: screen object must be an object, got ['a', [0.0, 0.0, 1.0, 1.0]]",
+    ),
+    "missing-text": ({"box": [0.0, 0.0, 1.0, 1.0]}, "line 2: 'text'"),
+    "missing-box": ({"text": "a"}, "line 2: 'box'"),
+    "empty-text": ({"text": "", "box": [0.0, 0.0, 1.0, 1.0]},
+                   "line 2: ScreenObject.text must be non-empty"),
+    "newline": ({"text": "a\nb", "box": [0.0, 0.0, 1.0, 1.0]},
+                "line 2: ScreenObject.text must not contain newline or tab"),
+    "tab": ({"text": "a\tb", "box": [0.0, 0.0, 1.0, 1.0]},
+            "line 2: ScreenObject.text must not contain newline or tab"),
+    "open-marker": ({"text": "a{{b", "box": [0.0, 0.0, 1.0, 1.0]},
+                    "line 2: ScreenObject.text must not contain a marker delimiter, got 'a{{b'"),
+    "close-marker": ({"text": "a}}b", "box": [0.0, 0.0, 1.0, 1.0]},
+                     "line 2: ScreenObject.text must not contain a marker delimiter, got 'a}}b'"),
+    "int-text": ({"text": 7, "box": [0.0, 0.0, 1.0, 1.0]},
+                 "line 2: screen object text must be a string, got 7"),
+    "lone-surrogate": ({"text": "a\ud800", "box": [0.0, 0.0, 1.0, 1.0]},
+                       "line 2: ScreenObject.text must not hold a lone surrogate, got 'a\\ud800'"),
+    "bool-field": ({"text": "a", "box": [0.0, True, 1.0, 1.0]},
+                   "line 2: box must be an array of 4 numbers, got [0.0, True, 1.0, 1.0]"),
+    "nan-field": ({"text": "a", "box": [0.0, 0.0, math.nan, 1.0]},
+                  "line 2: BBox.width must be finite, got nan"),
+    "infinite-field": ({"text": "a", "box": [math.inf, 0.0, 1.0, 1.0]},
+                       "line 2: BBox.left must be finite, got inf"),
+    "negative-size": ({"text": "a", "box": [0.0, 0.0, 1.0, -1.0]},
+                      "line 2: BBox width and height must be non-negative"),
+    "three-fields": ({"text": "a", "box": [0.0, 0.0, 1.0]},
+                     "line 2: box must be an array of 4 numbers, got [0.0, 0.0, 1.0]"),
+    "bad-box-before-bad-text": ({"text": "", "box": [0.0, 0.0, 1.0]},
+                                "line 2: box must be an array of 4 numbers, got [0.0, 0.0, 1.0]"),
+    "huge-int": ({"text": "a", "box": [10**400, 0, 1, 1]},
+                 "line 2: int too large to convert to float"),
+}
+
+# Entries off the fast path that are valid, and the fields they load as.
+VALID_SCREEN_ENTRIES = {
+    "non-ascii": ({"text": "café", "box": [0.0, 0.0, 1.0, 1.0]}, ("café", [0.0, 0.0, 1.0, 1.0])),
+    "int-fields": ({"text": "a", "box": [1, 2, 3, 4]}, ("a", [1.0, 2.0, 3.0, 4.0])),
+    "overflowing-sum": (
+        {"text": "a", "box": [1e308, 1e308, 0.0, 0.0]}, ("a", [1e308, 1e308, 0.0, 0.0])
+    ),
+}
+
+
+class TestScreenCodec:
+    @pytest.mark.parametrize(
+        "entry, message", MALFORMED_SCREEN_ENTRIES.values(), ids=MALFORMED_SCREEN_ENTRIES
+    )
+    def test_malformed_entries_keep_their_messages(self, entry, message):
+        with pytest.raises(DatasetError) as raised:
+            parse_dataset(screen_line(entry))
+        assert str(raised.value) == message
+        # Surrounding objects are decoded by the same checked loop.
+        bad = onscreen_record()
+        bad["entities"][0]["surrounding"] = [entry]
+        with pytest.raises(DatasetError) as raised:
+            parse_dataset(json.dumps(onscreen_record()) + "\n" + json.dumps(bad))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "entry, fields", VALID_SCREEN_ENTRIES.values(), ids=VALID_SCREEN_ENTRIES
+    )
+    def test_valid_entries_load_as_floats(self, entry, fields):
+        [_, datapoint] = parse_dataset(screen_line(entry))
+        assert type(datapoint.screen) is Screen
+        text, box = datapoint.screen[1]
+        assert (text, [repr(value) for value in box]) == (fields[0], list(map(repr, fields[1])))
+        # Written back, the fields are floats.
+        record = json.loads(format_dataset([datapoint]))
+        assert record["screen"][1] == {"text": fields[0], "box": fields[1]}
+        assert all(type(value) is float for value in record["screen"][1]["box"])
+
+    def test_in_memory_int_box_is_written_as_ints(self):
+        screen = [ScreenObject("a", BBox(1, 2, 3, 4)), ScreenObject("b", BBox(0.5, 2, 3, 4))]
+        datapoint = DataPoint("open it", realtor_datapoint().entities, frozenset(), "onscreen",
+                              screen=screen)
+        assert type(datapoint.screen) is tuple
+        line = format_dataset([datapoint])
+        assert '{"text": "a", "box": [1, 2, 3, 4]}' in line
+        assert '{"text": "b", "box": [0.5, 2, 3, 4]}' in line
+
+    def test_large_screen_adds_few_tracked_objects(self):
+        # One ScreenObject and one BBox per object, as tuple subclasses, are
+        # never untracked by the cyclic collector: 20,000 tracked objects.
+        record = onscreen_record()
+        record["screen"] = [
+            {"text": f"item {j}", "box": [j * 1.5, 2.5, 1.0, 2.0]} for j in range(10_000)
+        ]
+        line = json.dumps(record)
+        gc.collect()
+        before = len(gc.get_objects())
+        [datapoint] = parse_dataset(line)
+        added = len(gc.get_objects()) - before
+        assert len(datapoint.screen) == 10_000
+        assert added < 50
