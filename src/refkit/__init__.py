@@ -8,8 +8,6 @@ templates, and scores raw resolver output under order-free set matching.
 from .cluster_encoder import (
     Cluster,
     ClusterEncoding,
-    assign_entity_cluster,
-    build_cluster_encoding,
     dbscan_cluster,
     encode_clusters,
     rect_distance,

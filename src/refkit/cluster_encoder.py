@@ -2,11 +2,13 @@
 
 Instead of one spatially ordered parse, each entity gets the texts of its
 own spatial neighborhood: surrounding boxes are clustered by rectangle
-distance, the entity is assigned to its nearest cluster, and same-cluster
-texts (minus anything overlapping the entity's own text) become its context
-along with the entity's absolute position. The per-entity context lists
-make total prompt size grow super-linearly with cluster size, which is why
-the layout parse is the production path.
+distance, the entity joins its nearest cluster, and same-cluster texts
+(minus anything sharing a token with the entity's own text) become its
+context along with the entity's absolute position. The per-entity context
+lists make total prompt size grow super-linearly with cluster size, which
+is why the layout parse is the production path. encode_clusters is the one
+way to build these encodings; dbscan_cluster, the same clustering over one
+object list, stays public while the benchmark's traced run wraps it.
 
 Clustering is DBSCAN over an eps-neighbourhood graph found through a
 uniform spatial grid over parallel lists of box edges. A pair in reach goes
@@ -32,7 +34,7 @@ from itertools import filterfalse
 from typing import Iterable, Mapping, Sequence
 
 from .screen_model import (
-    BBox, Entity, ScreenObject, bbox_center, median, object_columns
+    _NUMBER_TYPES, BBox, Entity, ScreenObject, bbox_center, median, object_columns
 )
 
 NOISE_CLUSTER_ID = -1
@@ -150,10 +152,11 @@ def _neighbor_lists(boxes: Sequence[Sequence[float]], eps: float) -> list[list[i
 
 
 def _check_parameters(eps: float, min_pts: int) -> None:
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
+    # Exact types, as BBox checks its fields: a bool is not a number here.
+    if type(eps) not in _NUMBER_TYPES or not eps > 0:
+        raise ValueError(f"eps must be a number > 0, got {eps!r}")
+    if type(min_pts) is not int or min_pts < 1:
+        raise ValueError(f"min_pts must be an int >= 1, got {min_pts!r}")
 
 
 def _label_clusters(
@@ -240,10 +243,13 @@ def _nearest(box: BBox, groups: Iterable[Iterable[Sequence[float]]]) -> int | No
     """Position of the group holding the box nearest `box`; the first such
     group wins a tie. None when no group has a member.
 
-    Groups are scanned in order, member by member, and the first member at
-    distance 0.0 ends the scan: no distance is smaller, and a later group
-    would need a smaller one to win. A scene where no member touches the box
-    still tests every member. The first member seen sets `best` even at a
+    encode_clusters passes an entity's box and the member boxes of its real
+    clusters in id order, so the entity joins the nearest cluster by minimum
+    member distance and the lowest id wins a tie. Groups are scanned in
+    order, member by member, and the first member at distance 0.0 ends the
+    scan: no distance is smaller, and a later group would need a smaller one
+    to win. A scene where no member touches the box still tests every
+    member, O(n) per entity. The first member seen sets `best` even at a
     distance that overflows to inf.
     """
     best = None
@@ -259,49 +265,17 @@ def _nearest(box: BBox, groups: Iterable[Iterable[Sequence[float]]]) -> int | No
     return best
 
 
-def assign_entity_cluster(entity: Entity, clusters: Sequence[Cluster]) -> Cluster | None:
-    """Nearest real cluster by minimum member distance; ties go to the lowest id.
-
-    Returns None when only noise (or nothing) is available, signalling that
-    the encoding should degrade to positioning information alone. Clusters
-    are scanned in id order and the scan stops at the first member that
-    touches the entity (see _nearest); a scene where none does tests every
-    member, O(n) per entity.
-    """
-    if entity.placement is None:
-        raise ValueError("entity has no placement")
-    real = [c for c in sorted(clusters, key=lambda c: c.id) if c.id != NOISE_CLUSTER_ID]
-    position = _nearest(
-        entity.placement.box, ([member.box for member in c.members] for c in real)
-    )
-    return None if position is None else real[position]
-
-
-def _tokens(text: str) -> set[str]:
-    return set(text.lower().split())
-
-
-def build_cluster_encoding(
-    entity_index: int, entity: Entity, clusters: Sequence[Cluster]
-) -> ClusterEncoding:
-    """Context texts from the entity's cluster plus its absolute position.
-
-    Same-cluster texts sharing any token with the entity's own text are
-    filtered out, so the entity's duplicate on-screen string never lands in
-    its own context.
-    """
-    cluster = assign_entity_cluster(entity, clusters)
-    texts = () if cluster is None else [member.text for member in cluster.members]
-    return _encoding(entity_index, entity, texts)
-
-
 def _encoding(entity_index: int, entity: Entity, texts: Iterable[str]) -> ClusterEncoding:
-    """The encoding of the entity whose cluster has these member texts."""
-    own = _tokens(entity.display_text)
+    """The encoding of the entity whose cluster has these member texts (none
+    when it has no cluster): the texts sharing no token with the entity's
+    display text, compared as lower-cased whitespace-split words, so its own
+    on-screen duplicate never lands in its context, plus its box centre.
+    """
+    own = set(entity.display_text.lower().split())
     center = bbox_center(entity.placement.box)
     return ClusterEncoding(
         entity_index=entity_index,
-        surrounding_prompt=tuple(text for text in texts if own.isdisjoint(_tokens(text))),
+        surrounding_prompt=tuple(text for text in texts if own.isdisjoint(text.lower().split())),
         distance_from_top=center.y,
         distance_from_left=center.x,
     )

@@ -22,7 +22,7 @@ from itertools import compress, islice, repeat
 from operator import add, not_, truediv
 from typing import Sequence
 
-from .screen_model import Entity, ScreenObject, median, object_columns
+from .screen_model import _NUMBER_TYPES, Entity, ScreenObject, median, object_columns
 
 SAME_LINE_SEPARATOR = "\t"
 LINE_SEPARATOR = "\n"
@@ -44,9 +44,13 @@ class EncoderConfig:
     inject_markers: bool = True
 
     def __post_init__(self) -> None:
-        # Written so that NaN, which compares false both ways, fails too.
-        if self.margin is not None and not self.margin >= 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin!r}")
+        margin = self.margin
+        # Exact types, as BBox checks its fields: a bool is not a number
+        # here. Written so that NaN, which compares false both ways, fails too.
+        if margin is not None and (type(margin) not in _NUMBER_TYPES or not margin >= 0):
+            raise ValueError(f"margin must be None or a number >= 0, got {margin!r}")
+        if type(self.inject_markers) is not bool:
+            raise ValueError(f"inject_markers must be a bool, got {self.inject_markers!r}")
 
 
 @dataclass(frozen=True)

@@ -71,20 +71,32 @@ class BBox(_BBoxFields):
     def __new__(cls, left: float, top: float, width: float, height: float) -> BBox:
         numbers = _NUMBER_TYPES
         isfinite = math.isfinite
-        if not (
-            type(left) in numbers
-            and type(top) in numbers
-            and type(width) in numbers
-            and type(height) in numbers
-            and isfinite(left)
-            and isfinite(top)
-            and isfinite(width)
-            and isfinite(height)
-        ):
+        try:
+            valid = (
+                type(left) in numbers
+                and type(top) in numbers
+                and type(width) in numbers
+                and type(height) in numbers
+                and isfinite(left)
+                and isfinite(top)
+                and isfinite(width)
+                and isfinite(height)
+            )
+        except OverflowError:  # an int past the float range
+            valid = False
+        if not valid:
             for name, value in zip(cls._fields, (left, top, width, height)):
                 if type(value) not in numbers:
                     raise ValueError(f"BBox.{name} must be a number, got {value!r}")
-                if not isfinite(value):
+                try:
+                    finite = isfinite(value)
+                except OverflowError:
+                    # The int is not shown: CPython refuses to make text of
+                    # one longer than 4,300 digits.
+                    raise ValueError(
+                        f"BBox.{name} must be finite, got an int past the float range"
+                    ) from None
+                if not finite:
                     raise ValueError(f"BBox.{name} must be finite, got {value!r}")
         if width < 0 or height < 0:
             raise ValueError("BBox width and height must be non-negative")
@@ -115,6 +127,8 @@ def _check_screen_text(text: object) -> None:
     _require_utf8(text, "ScreenObject.text")
     if "\n" in text or "\t" in text:
         raise ValueError("ScreenObject.text must not contain newline or tab")
+    if "\r" in text:
+        raise ValueError(f"ScreenObject.text must not contain a line break, got {text!r}")
     if "{{" in text or "}}" in text:
         raise ValueError(f"ScreenObject.text must not contain a marker delimiter, got {text!r}")
 
@@ -134,9 +148,10 @@ class ScreenObject(_ScreenObjectFields):
 
     Newlines and tabs are rejected rather than escaped: they are the layout
     separators of the rendered parse, and allowing them would make the
-    output ambiguous. So are the `{{` and `}}` that delimit entity markers,
-    which would let screen text pass for a numbered option. Every text field
-    of ScreenObject, Entity and DataPoint must be encodable as UTF-8.
+    output ambiguous. So are carriage returns, which could forge prompt
+    lines, and the `{{` and `}}` that delimit entity markers, which would
+    let screen text pass for a numbered option. Every text field of
+    ScreenObject, Entity and DataPoint must be encodable as UTF-8.
     """
 
     __slots__ = ()
@@ -328,6 +343,8 @@ class Entity:
                 raise ValueError(f"display_text must be a string, got {text!r}")
             if "\n" in text or "\t" in text:
                 raise ValueError("Entity.display_text must not contain newline or tab")
+            if "\r" in text:
+                raise ValueError(f"Entity.display_text must not contain a line break, got {text!r}")
             _require_utf8(text, "Entity.display_text")
             if "{{" in text or "}}" in text:
                 raise ValueError(
@@ -465,6 +482,7 @@ def _objects_from_json(value: object, field: str) -> tuple[list[str], list[Seque
             and text
             and "\n" not in text
             and "\t" not in text
+            and "\r" not in text
             and "{{" not in text
             and "}}" not in text
             and text.isascii()

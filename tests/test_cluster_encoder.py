@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import statistics
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,18 +11,17 @@ import refkit.cluster_encoder as cluster_encoder
 
 from refkit import (
     BBox,
+    ClusterEncoding,
     Entity,
     Placement,
     ScreenObject,
-    assign_entity_cluster,
-    build_cluster_encoding,
     dbscan_cluster,
     encode_clusters,
     encode_screen,
     rect_distance,
 )
-from refkit.cluster_encoder import NOISE_CLUSTER_ID, Cluster
-from refkit.screen_model import median, parse_dataset
+from refkit.cluster_encoder import NOISE_CLUSTER_ID
+from refkit.screen_model import parse_dataset
 
 from conftest import branches_datapoint
 
@@ -366,23 +366,48 @@ class TestDbscan:
         with pytest.raises(ValueError):
             dbscan_cluster([], eps=1, min_pts=0)
 
+    @pytest.mark.parametrize(
+        "eps, min_pts, message",
+        [
+            (True, 1, "eps must be a number > 0, got True"),
+            ("3", 1, "eps must be a number > 0, got '3'"),
+            (3.0, 1.5, "min_pts must be an int >= 1, got 1.5"),
+            (3.0, True, "min_pts must be an int >= 1, got True"),
+            (3.0, "2", "min_pts must be an int >= 1, got '2'"),
+        ],
+        ids=["bool-eps", "string-eps", "float-min-pts", "bool-min-pts", "string-min-pts"],
+    )
+    def test_wrong_parameter_types_rejected_not_coerced(self, eps, min_pts, message):
+        objects = [ScreenObject("a", BBox(0, 0, 1, 1))]
+        for call in (lambda: dbscan_cluster(objects, eps, min_pts),
+                     lambda: encode_clusters(objects, [place_entity("x", BBox(0, 0, 1, 1))],
+                                             eps, min_pts)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+
 
 def place_entity(text: str, box: BBox, type_name: str = "general text") -> Entity:
     return Entity(type_name, (), display_text=text, placement=Placement(box))
 
 
-def min_over_members(entity: Entity, clusters) -> Cluster | None:
-    """Reference: the nearest real cluster from each one's minimum member
-    distance, with no early exit; the lowest id wins a tie, also at inf."""
-    candidates = sorted(
-        (c for c in clusters if c.id != NOISE_CLUSTER_ID and c.members), key=lambda c: c.id
-    )
+def min_over_members(box: BBox, groups) -> int | None:
+    """Reference: the position of the group nearest box by each one's
+    minimum member distance, with no early exit; the first wins a tie, also
+    at inf. None when no group has a member."""
     best, best_distance = None, math.inf
-    for cluster in candidates:
-        distance = min(rect_distance(entity.placement.box, m.box) for m in cluster.members)
-        if best is None or distance < best_distance:
-            best, best_distance = cluster, distance
+    for position, members in enumerate(groups):
+        if members:
+            distance = min(rect_distance(box, member) for member in members)
+            if best is None or distance < best_distance:
+                best, best_distance = position, distance
     return best
+
+
+def surrounding_texts(screen, entity, eps=None, min_pts=1):
+    """encode_clusters' surrounding texts for one entity alone."""
+    [encoding] = encode_clusters(screen, [entity], eps, min_pts)
+    return encoding.surrounding_prompt
 
 
 # Small integer boxes touch and tie; coordinates near the float limit put
@@ -392,38 +417,33 @@ assign_coords = st.integers(0, 30) | st.sampled_from([-FAR, FAR])
 assign_boxes = st.builds(
     BBox, assign_coords, assign_coords, st.integers(0, 6), st.integers(0, 6) | st.just(1e308)
 )
-assign_clusters = st.lists(
-    st.builds(
-        Cluster,
-        st.integers(NOISE_CLUSTER_ID, 4),
-        st.lists(st.builds(ScreenObject, st.just("m"), assign_boxes), max_size=4).map(tuple),
-    ),
-    max_size=5,
-)
+assign_groups = st.lists(st.lists(assign_boxes, max_size=4), max_size=5)
 
 
 class TestAssign:
+    """The entity joins the real cluster with the nearest member; the lowest
+    id wins a tie."""
+
     def test_entity_inside_cluster(self):
         objects = [ScreenObject("a", BBox(0, 0, 10, 10)), ScreenObject("b", BBox(300, 0, 10, 10))]
-        clusters = dbscan_cluster(objects, eps=5, min_pts=1)
         entity = place_entity("x", BBox(2, 2, 3, 3))
-        assert assign_entity_cluster(entity, clusters).id == 0
+        assert surrounding_texts(objects, entity, eps=5) == ("a",)
 
     def test_equidistant_tie_goes_to_lower_id(self):
         objects = [ScreenObject("a", BBox(0, 0, 10, 10)), ScreenObject("b", BBox(100, 0, 10, 10))]
-        clusters = dbscan_cluster(objects, eps=5, min_pts=1)
         entity = place_entity("x", BBox(50, 0, 10, 10))  # 40 units from each
-        assert assign_entity_cluster(entity, clusters).id == 0
+        # Cluster ids follow the entity's object order, not position on screen.
+        assert surrounding_texts(objects, entity, eps=5) == ("a",)
+        assert surrounding_texts(objects[::-1], entity, eps=5) == ("b",)
 
     def test_no_real_clusters_returns_none(self):
+        # No object at all, or only noise: the context is empty.
         entity = place_entity("x", BBox(0, 0, 5, 5))
-        assert assign_entity_cluster(entity, []) is None
-        noise_only = dbscan_cluster(
-            [ScreenObject("far", BBox(0, 0, 2, 2)), ScreenObject("far2", BBox(500, 500, 2, 2))],
-            eps=5,
-            min_pts=2,
-        )
-        assert assign_entity_cluster(entity, noise_only) is None
+        assert surrounding_texts([], entity, eps=5) == ()
+        far_apart = [
+            ScreenObject("far", BBox(0, 0, 2, 2)), ScreenObject("far2", BBox(500, 500, 2, 2))
+        ]
+        assert surrounding_texts(far_apart, entity, eps=5, min_pts=2) == ()
 
     def test_matches_exhaustive_scan(self):
         rng = random.Random(53)
@@ -433,53 +453,49 @@ class TestAssign:
             entity = place_entity(
                 "probe", BBox(rng.uniform(0, 300), rng.uniform(0, 300), 5, 5)
             )
-            best = min(
-                ((min(rect_distance(entity.placement.box, m.box) for m in c.members), c.id)
-                 for c in clusters if c.id != NOISE_CLUSTER_ID),
-                default=None,
+            _, best = min(
+                (min(rect_distance(entity.placement.box, m.box) for m in c.members), c.id)
+                for c in clusters if c.id != NOISE_CLUSTER_ID
             )
-            chosen = assign_entity_cluster(entity, clusters)
-            assert chosen.id == best[1]
+            assert surrounding_texts(objects, entity, eps=40) == tuple(
+                m.text for m in clusters[best].members
+            )
 
     def test_overflowing_distances_still_assign(self):
-        # Every distance overflows to inf; the lowest real cluster still wins.
+        # Every distance to the entity overflows to inf; the first cluster
+        # found still wins.
         entity = place_entity("x", BBox(FAR, FAR, 0, 0))
-        clusters = [Cluster(1, (ScreenObject("m", BBox(-FAR, 0, 0, 0)),)),
-                    Cluster(0, (ScreenObject("m", BBox(-FAR, -FAR, 0, 0)),))]
-        assert assign_entity_cluster(entity, clusters).id == 0
+        objects = [ScreenObject("first", BBox(-FAR, 0, 0, 0)),
+                   ScreenObject("second", BBox(-FAR, -FAR, 0, 0))]
+        assert surrounding_texts(objects, entity, eps=1.0) == ("first",)
 
     @settings(max_examples=400, deadline=None)
-    @given(assign_boxes, assign_clusters)
+    @given(assign_boxes, assign_groups)
     @example(BBox(0, 0, 1, 1), [])  # nothing
-    @example(BBox(0, 0, 1, 1), [Cluster(NOISE_CLUSTER_ID, (ScreenObject("m", BBox(0, 0, 1, 1)),))])
-    @example(BBox(0, 0, 1, 1), [Cluster(0, ())])  # an empty cluster
-    @example(  # a tie at distance 1, the higher id listed first
-        BBox(10, 0, 1, 1),
-        [Cluster(1, (ScreenObject("m", BBox(12, 0, 1, 1)),)),
-         Cluster(0, (ScreenObject("m", BBox(8, 0, 1, 1)),))],
+    @example(BBox(0, 0, 1, 1), [[]])  # an empty group
+    @example(BBox(0, 0, 1, 1), [[], [BBox(0, 0, 1, 1)]])  # an empty group, then a touching one
+    @example(  # a tie at distance 1, the farther-right member listed first
+        BBox(10, 0, 1, 1), [[BBox(12, 0, 1, 1)], [BBox(8, 0, 1, 1)]]
     )
-    @example(  # both clusters touch the entity, the first after a farther member
-        BBox(10, 0, 1, 1),
-        [Cluster(0, (ScreenObject("m", BBox(20, 0, 1, 1)), ScreenObject("m", BBox(11, 0, 1, 1)))),
-         Cluster(1, (ScreenObject("m", BBox(10, 0, 1, 1)),))],
+    @example(  # the first group is 1 away, the second touches the box
+        BBox(10, 0, 1, 1), [[BBox(12, 0, 1, 1)], [BBox(11, 0, 1, 1)]]
     )
-    @example(  # every distance overflows to inf
-        BBox(FAR, FAR, 0, 0), [Cluster(0, (ScreenObject("m", BBox(-FAR, -FAR, 0, 0)),))]
+    @example(  # both groups touch the box, the first after a farther member
+        BBox(10, 0, 1, 1), [[BBox(20, 0, 1, 1), BBox(11, 0, 1, 1)], [BBox(10, 0, 1, 1)]]
     )
-    def test_early_exit_matches_min_over_members(self, box, clusters):
-        entity = place_entity("x", box)
-        assert assign_entity_cluster(entity, clusters) is min_over_members(entity, clusters)
+    @example(BBox(FAR, FAR, 0, 0), [[BBox(-FAR, -FAR, 0, 0)]])  # every distance overflows to inf
+    def test_early_exit_matches_min_over_members(self, box, groups):
+        # encode_clusters hands _nearest one-pass iterables, clusters in id order.
+        nearest = cluster_encoder._nearest(box, (iter(members) for members in groups))
+        assert nearest == min_over_members(box, groups)
 
     def test_early_exit_on_benchmark_scenes(self, monkeypatch, benchmark_input):
         # Every entity of cluster-encode's seed-1 scenes touches a member of
-        # its cluster, so the scan stops there instead of testing every
-        # member of every cluster (13,314 distance tests).
-        assignments = []
-        for datapoint in parse_dataset(benchmark_input("cluster-encode")):
-            for entity in datapoint.entities:
-                objects = unique_objects(entity.placement.surrounding, datapoint.screen)
-                clusters = dbscan_cluster(objects, median(o.box.height for o in objects) or 1.0)
-                assignments.append((entity, clusters, min_over_members(entity, clusters)))
+        # its cluster, so the nearest-cluster scan stops there: 1,843
+        # distance tests for the 104 entities rather than the 13,314 of
+        # testing every member of every cluster. Building the neighbourhood
+        # graphs makes the other 6,391.
+        datapoints = parse_dataset(benchmark_input("cluster-encode"))
         calls = 0
         exact = cluster_encoder.rect_distance
 
@@ -489,29 +505,49 @@ class TestAssign:
             return exact(a, b)
 
         monkeypatch.setattr(cluster_encoder, "rect_distance", counting)
-        for entity, clusters, expected in assignments:
-            assert assign_entity_cluster(entity, clusters) is expected
-        assert len(assignments) == 104
-        assert calls <= 1843
+        for datapoint in datapoints:
+            encode_clusters(datapoint.screen, datapoint.entities)
+        assert sum(len(datapoint.entities) for datapoint in datapoints) == 104
+        assert calls <= 8234
 
 
 def per_entity_encodings(screen, entities, eps=None, min_pts=1):
-    """Reference: cluster each entity's own object set on its own."""
+    """Reference: cluster each entity's own object set on its own with
+    dbscan_cluster, which TestDbscan checks against reference_dbscan; join
+    the nearest real cluster by min_over_members; keep the member texts that
+    share no lower-cased word with the entity's text; place the entity at
+    the centre of its box."""
     encodings = []
     for index, entity in enumerate(entities, 1):
         if entity.placement is None:
             raise ValueError(f"entity {index} has no placement")
+        box = entity.placement.box
         objects = unique_objects(entity.placement.surrounding, screen)
-        clusters = []
+        texts = []
         if objects:
-            entity_eps = (median(o.box.height for o in objects) or 1.0) if eps is None else eps
-            clusters = dbscan_cluster(objects, entity_eps, min_pts)
-        encodings.append(build_cluster_encoding(index, entity, clusters))
+            if eps is None:
+                entity_eps = statistics.median(o.box.height for o in objects) or 1.0
+            else:
+                entity_eps = eps
+            real = [
+                c for c in dbscan_cluster(objects, entity_eps, min_pts) if c.id != NOISE_CLUSTER_ID
+            ]
+            nearest = min_over_members(box, [[m.box for m in c.members] for c in real])
+            if nearest is not None:
+                texts = [m.text for m in real[nearest].members]
+        own = set(entity.display_text.lower().split())
+        encodings.append(ClusterEncoding(
+            entity_index=index,
+            surrounding_prompt=tuple(t for t in texts if not own & set(t.lower().split())),
+            distance_from_top=box.top + box.height / 2,
+            distance_from_left=box.left + box.width / 2,
+        ))
     return encodings
 
 
-# Few words and integer boxes, so objects repeat, touch and share tokens.
-words = st.sampled_from(["north", "south", "east", "north east", "west side"])
+# Few words and integer boxes, so objects repeat, touch and share tokens,
+# some only when compared case-insensitively.
+words = st.sampled_from(["north", "south", "east", "north east", "west side", "North", "WEST"])
 small_boxes = st.builds(
     BBox,
     st.integers(0, 40),
@@ -562,10 +598,15 @@ class TestEncoding:
         assert_matches_per_entity_clustering(*scene, eps, min_pts)
 
     @settings(max_examples=50, deadline=None)
-    @given(cluster_scenes(), st.sampled_from([(0.0, 1), (math.nan, 2), (3.0, 0), (None, 0)]))
+    @given(
+        cluster_scenes(),
+        st.sampled_from([(0.0, 1), (math.nan, 2), (3.0, 0), (None, 0), (True, 1), ("3", 1),
+                         (3.0, 1.5), (None, True)]),
+    )
     # Bad parameters raise nothing while no entity has an object to cluster.
     @example(([], [place_entity("x", BBox(0, 0, 1, 1))]), (math.nan, 1))
     @example(([], [place_entity("x", BBox(0, 0, 1, 1))]), (None, 0))
+    @example(([], [place_entity("x", BBox(0, 0, 1, 1))]), ("3", 1.5))
     def test_bad_parameters_fail_as_per_entity_clustering(self, scene, parameters):
         assert_matches_per_entity_clustering(*scene, *parameters)
 

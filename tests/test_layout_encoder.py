@@ -1,3 +1,4 @@
+import math
 import random
 import statistics
 from collections import Counter
@@ -537,3 +538,29 @@ class TestConfigValidation:
         # would put every object on one line.
         with pytest.raises(ValueError, match="margin"):
             EncoderConfig(margin=float("nan"))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"inject_markers": "no"}, "inject_markers must be a bool, got 'no'"),
+            ({"inject_markers": 0}, "inject_markers must be a bool, got 0"),
+            ({"inject_markers": None}, "inject_markers must be a bool, got None"),
+            ({"margin": True}, "margin must be None or a number >= 0, got True"),
+            ({"margin": "1"}, "margin must be None or a number >= 0, got '1'"),
+            ({"margin": [1.0]}, "margin must be None or a number >= 0, got [1.0]"),
+        ],
+        ids=["string-markers", "int-markers", "none-markers", "bool-margin", "string-margin",
+             "list-margin"],
+    )
+    def test_wrong_types_rejected_not_coerced(self, fields, message):
+        # A truthy string once encoded with markers, and a bool margin acted
+        # as 1 or 0.
+        with pytest.raises(ValueError) as raised:
+            EncoderConfig(**fields)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("margin", [None, 0, 2, 0.0, 2.5, math.inf])
+    @pytest.mark.parametrize("inject_markers", [True, False])
+    def test_numbers_and_bools_accepted(self, margin, inject_markers):
+        config = EncoderConfig(margin, inject_markers)
+        assert (config.margin, config.inject_markers) == (margin, inject_markers)

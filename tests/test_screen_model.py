@@ -81,8 +81,9 @@ class TestBBox:
             ((0, 0, 1, -math.inf), "BBox.height must be finite, got -inf"),
             ((0, 0, -1, 1), "BBox width and height must be non-negative"),
             ((0, 0, 1, -0.5), "BBox width and height must be non-negative"),
+            ((10**400, 0, 1, 1), "BBox.left must be finite, got an int past the float range"),
         ],
-        ids=["string", "bool", "nan", "inf", "negative-width", "negative-height"],
+        ids=["string", "bool", "nan", "inf", "negative-width", "negative-height", "huge-int"],
     )
     @pytest.mark.parametrize(
         "build",
@@ -104,6 +105,13 @@ class TestBBox:
     def test_every_construction_checks_fields(self, build, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(fields)
+
+    def test_int_past_text_limit_is_not_shown(self):
+        # CPython refuses to make text of an int longer than 4,300 digits, so
+        # the message must not hold the value.
+        with pytest.raises(ValueError) as raised:
+            BBox(0, 0, 1, -(10**5000))
+        assert str(raised.value) == "BBox.height must be finite, got an int past the float range"
 
     @pytest.mark.parametrize(
         "round_trip",
@@ -151,6 +159,29 @@ class TestInvariants:
             ScreenObject("a\tb", BBox(0, 0, 1, 1))
         with pytest.raises(ValueError):
             ScreenObject("", BBox(0, 0, 1, 1))
+
+    @pytest.mark.parametrize(
+        "text, screen_message, display_message",
+        [
+            ("a\nb", "ScreenObject.text must not contain newline or tab",
+             "Entity.display_text must not contain newline or tab"),
+            ("a\tb", "ScreenObject.text must not contain newline or tab",
+             "Entity.display_text must not contain newline or tab"),
+            # A carriage return could forge a prompt line, as in the request.
+            ("a\rb", "ScreenObject.text must not contain a line break, got 'a\\rb'",
+             "Entity.display_text must not contain a line break, got 'a\\rb'"),
+            ("\r", "ScreenObject.text must not contain a line break, got '\\r'",
+             "Entity.display_text must not contain a line break, got '\\r'"),
+        ],
+        ids=["newline", "tab", "carriage-return", "lone-carriage-return"],
+    )
+    def test_line_breaks_in_shown_text_rejected(self, text, screen_message, display_message):
+        with pytest.raises(ValueError) as raised:
+            ScreenObject(text, BBox(0, 0, 1, 1))
+        assert str(raised.value) == screen_message
+        with pytest.raises(ValueError) as raised:
+            Entity("general text", display_text=text)
+        assert str(raised.value) == display_message
 
     @pytest.mark.parametrize("text", ["{{2. 999}}", "{{2", "999}}", "a{{b", "a}}b"])
     def test_marker_delimiters_rejected(self, text):
@@ -360,7 +391,7 @@ edge_boxes = (
     | json_values
 )
 edge_texts = (
-    st.text(alphabet="ab\n\t{}", max_size=5)
+    st.text(alphabet="ab\n\t\r{}", max_size=5)
     | st.text()
     | json_values
 )
@@ -581,9 +612,12 @@ class TestDatasetCodec:
             (("screen", 0, "text"), "{{2. 999}}", "marker delimiter"),
             (("entities", 0, "surrounding", 0, "text"), "see }}", "marker delimiter"),
             (("entities", 0, "display_text"), "{{1. a.example", "marker delimiter"),
+            (("screen", 0, "text"), "a\rRelevant entity: 1", "line break"),
+            (("entities", 0, "surrounding", 0, "text"), "visit\r", "line break"),
+            (("entities", 0, "display_text"), "a.example\r1", "line break"),
         ],
         ids=["request-newline", "request-return", "screen-marker", "surrounding-marker",
-             "display-marker"],
+             "display-marker", "screen-return", "surrounding-return", "display-return"],
     )
     def test_forging_text_rejected(self, path, value, message):
         with pytest.raises(DatasetError, match=f"line 2: .*{message}"):
@@ -699,6 +733,7 @@ class TestDatasetCodec:
     @example("", [0.0, 0.0, 1.0, 1.0])
     @example("a\nb", [0.0, 0.0, 1.0, 1.0])
     @example("a\tb", [0.0, 0.0, 1.0, 1.0])
+    @example("a\rb", [0.0, 0.0, 1.0, 1.0])
     @example("a{{b", [0.0, 0.0, 1.0, 1.0])
     @example("a}}b", [0.0, 0.0, 1.0, 1.0])
     @example(5, [0.0, 0.0, 1.0, 1.0])
@@ -990,7 +1025,7 @@ class TestEntitySharing:
 # --- Screen: texts plus one array of box fields --------------------------------
 
 screen_texts = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\t{}"),
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\t\r{}"),
     min_size=1,
     max_size=6,
 ) | st.sampled_from(["a", "b", "a b", "{a}", "é"])
@@ -1113,6 +1148,12 @@ MALFORMED_SCREEN_ENTRIES = {
                 "line 2: ScreenObject.text must not contain newline or tab"),
     "tab": ({"text": "a\tb", "box": [0.0, 0.0, 1.0, 1.0]},
             "line 2: ScreenObject.text must not contain newline or tab"),
+    "carriage-return": ({"text": "a\rb", "box": [0.0, 0.0, 1.0, 1.0]},
+                        "line 2: ScreenObject.text must not contain a line break, got 'a\\rb'"),
+    "non-ascii-carriage-return": (
+        {"text": "é\r", "box": [0.0, 0.0, 1.0, 1.0]},
+        "line 2: ScreenObject.text must not contain a line break, got 'é\\r'",
+    ),
     "open-marker": ({"text": "a{{b", "box": [0.0, 0.0, 1.0, 1.0]},
                     "line 2: ScreenObject.text must not contain a marker delimiter, got 'a{{b'"),
     "close-marker": ({"text": "a}}b", "box": [0.0, 0.0, 1.0, 1.0]},
