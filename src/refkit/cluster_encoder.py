@@ -155,6 +155,10 @@ def _check_parameters(eps: float, min_pts: int) -> None:
     # Exact types, as BBox checks its fields: a bool is not a number here.
     if type(eps) not in _NUMBER_TYPES or not eps > 0:
         raise ValueError(f"eps must be a number > 0, got {eps!r}")
+    try:
+        float(eps)
+    except OverflowError:  # not shown, as BBox shows no such int
+        raise ValueError("eps must fit in a float, got an int past the float range") from None
     if type(min_pts) is not int or min_pts < 1:
         raise ValueError(f"min_pts must be an int >= 1, got {min_pts!r}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .screen_model import Entity
+from .screen_model import _LINE_BREAKS, Entity
 
 _TYPE_JOIN = " | "
 
@@ -34,15 +34,19 @@ def camel_case(type_name: str) -> str:
     return "".join(word[:1].upper() + word[1:] for word in type_name.split())
 
 
+_SPACED = str.maketrans(dict.fromkeys([*_LINE_BREAKS, "\t"], " "))
+
+
 def _clean(value: str) -> str:
-    # Rendered lines must stay single-line: prompts are newline-delimited.
-    return value.replace("\n", " ").replace("\t", " ").replace("\r", " ")
+    # Rendered lines must stay single-line: prompts are newline-delimited. A
+    # printable value holds no line break or tab; translate costs far more.
+    return value if value.isprintable() else value.translate(_SPACED)
 
 
 def _require_single_line(what: str, text: str) -> None:
-    """RuleError if text holds a character _clean strips from values: a rule
+    """RuleError if text holds a character _clean spaces out of values: a rule
     string is emitted as given, so one would break or forge a prompt line."""
-    if "\n" in text or "\r" in text or "\t" in text:
+    if _clean(text) != text:
         raise RuleError(f"{what} must not contain a line break or tab, got {text!r}")
 
 

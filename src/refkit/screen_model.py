@@ -118,19 +118,35 @@ def bbox_center(box: BBox) -> Point:
     return Point(box.left + box.width / 2, box.top + box.height / 2)
 
 
+# The characters str.splitlines breaks a line at: one in a text on a prompt
+# line could forge the lines after it.
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _check_line(text: str, field: str, shown: bool) -> None:
+    """ValueError, naming field, unless text may sit on one prompt line.
+
+    No text may hold a line break or a lone surrogate, and a shown one
+    (screen or display text) no tab, `{{` or `}}`. No printable character
+    is a line break, a tab or a surrogate.
+    """
+    if not text.isprintable():
+        _require_utf8(text, field)
+        if shown and ("\n" in text or "\t" in text):
+            raise ValueError(f"{field} must not contain newline or tab")
+        if not _LINE_BREAKS.isdisjoint(text):
+            raise ValueError(f"{field} must not contain a line break, got {text!r}")
+    if shown and ("{{" in text or "}}" in text):
+        raise ValueError(f"{field} must not contain a marker delimiter, got {text!r}")
+
+
 def _check_screen_text(text: object) -> None:
     """ValueError, naming what is wrong, unless text may be a ScreenObject's."""
     if type(text) is not str:
         raise ValueError(f"screen object text must be a string, got {text!r}")
     if not text:
         raise ValueError("ScreenObject.text must be non-empty")
-    _require_utf8(text, "ScreenObject.text")
-    if "\n" in text or "\t" in text:
-        raise ValueError("ScreenObject.text must not contain newline or tab")
-    if "\r" in text:
-        raise ValueError(f"ScreenObject.text must not contain a line break, got {text!r}")
-    if "{{" in text or "}}" in text:
-        raise ValueError(f"ScreenObject.text must not contain a marker delimiter, got {text!r}")
+    _check_line(text, "ScreenObject.text", shown=True)
 
 
 class _ScreenObjectFields(NamedTuple):
@@ -146,12 +162,12 @@ class ScreenObject(_ScreenObjectFields):
     making one (the constructor, `_make`, `_replace`, unpickling, copying)
     makes the checks below.
 
-    Newlines and tabs are rejected rather than escaped: they are the layout
-    separators of the rendered parse, and allowing them would make the
-    output ambiguous. So are carriage returns, which could forge prompt
-    lines, and the `{{` and `}}` that delimit entity markers, which would
-    let screen text pass for a numbered option. Every text field of
-    ScreenObject, Entity and DataPoint must be encodable as UTF-8.
+    Tabs and line breaks (any character str.splitlines breaks at) are
+    rejected rather than escaped: newline and tab separate the rendered
+    parse, and any line break could forge prompt lines. So are the `{{` and
+    `}}` that delimit entity markers, which would let screen text pass for a
+    numbered option; Entity.display_text is held to the same rule. Every
+    text field of ScreenObject, Entity and DataPoint must be UTF-8 encodable.
     """
 
     __slots__ = ()
@@ -341,15 +357,7 @@ class Entity:
         if text is not None:
             if type(text) is not str:
                 raise ValueError(f"display_text must be a string, got {text!r}")
-            if "\n" in text or "\t" in text:
-                raise ValueError("Entity.display_text must not contain newline or tab")
-            if "\r" in text:
-                raise ValueError(f"Entity.display_text must not contain a line break, got {text!r}")
-            _require_utf8(text, "Entity.display_text")
-            if "{{" in text or "}}" in text:
-                raise ValueError(
-                    f"Entity.display_text must not contain a marker delimiter, got {text!r}"
-                )
+            _check_line(text, "Entity.display_text", shown=True)
 
 
 @dataclass(frozen=True)
@@ -360,8 +368,8 @@ class DataPoint:
     entity is relevant. `screen` carries the full-screen text objects for
     on-screen datapoints: a Screen is kept as it is (the codec decodes one),
     and any other iterable becomes the tuple of its objects. The request is
-    one line of the prompt, so line breaks in it are rejected: they could
-    forge the lines that follow it.
+    one line of the prompt, so a line break in it (as in ScreenObject text;
+    a tab is allowed) is rejected: it could forge the lines that follow.
     """
 
     request: str
@@ -378,11 +386,7 @@ class DataPoint:
             )
         if type(self.request) is not str:
             raise ValueError(f"request must be a string, got {self.request!r}")
-        if "\n" in self.request or "\r" in self.request:
-            raise ValueError(
-                f"DataPoint.request must not contain a line break, got {self.request!r}"
-            )
-        _require_utf8(self.request, "DataPoint.request")
+        _check_line(self.request, "DataPoint.request", shown=False)
         if self.kind not in KINDS:
             raise ValueError(f"unknown datapoint kind {self.kind!r}")
         n = len(self.entities)
@@ -464,11 +468,8 @@ def _objects_to_json(objects: Sequence[ScreenObject]) -> list[dict]:
 
 def _objects_from_json(value: object, field: str) -> tuple[list[str], list[Sequence[float]]]:
     """The texts and boxes of a decoded JSON array of screen objects, as
-    parallel lists, each checked once; every box is four floats.
-
-    A text that is ASCII and meets ScreenObject's conditions is taken as it
-    is; any other goes to _check_screen_text, which names what is wrong. A
-    bad box is named before a bad text.
+    parallel lists, each checked once, as ScreenObject checks them; every
+    box is four floats. A bad box is named before a bad text.
     """
     texts = []
     boxes = []
@@ -477,17 +478,7 @@ def _objects_from_json(value: object, field: str) -> tuple[list[str], list[Seque
             raise ValueError(f"screen object must be an object, got {entry!r}")
         text = entry["text"]
         boxes.append(_box_fields(entry["box"]))
-        if not (
-            type(text) is str
-            and text
-            and "\n" not in text
-            and "\t" not in text
-            and "\r" not in text
-            and "{{" not in text
-            and "}}" not in text
-            and text.isascii()
-        ):
-            _check_screen_text(text)
+        _check_screen_text(text)
         texts.append(text)
     return texts, boxes
 

@@ -106,20 +106,19 @@ def expand_template(template: LanguageTemplate, slots: SlotList) -> list[str]:
     """Substitute every combination of slot values into every variation.
 
     A placeholder appearing twice in one variation receives the same value
-    in both positions.
+    in both positions. Each query is filled in one pass, so a value is kept
+    as written even when it holds another placeholder's text.
     """
     check_placeholders(template, slots)
     queries: list[str] = []
     for variation in template.variations:
         names = placeholders(variation)
-        if not names:
-            queries.append(variation)
-            continue
+        # Literal text and placeholder names alternate, text first and last.
+        pieces = PLACEHOLDER_RE.split(variation)
+        picks = [names.index(name) for name in pieces[1::2]]
         for combo in itertools.product(*(slots.slots[name] for name in names)):
-            query = variation
-            for name, value in zip(names, combo):
-                query = query.replace(f"[{name}]", value)
-            queries.append(query)
+            pieces[1::2] = [combo[pick] for pick in picks]
+            queries.append("".join(pieces))
     return queries
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import statistics
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -385,6 +386,20 @@ class TestDbscan:
             with pytest.raises(ValueError) as raised:
                 call()
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("eps", [10**400, 2**1024], ids=["huge", "just-past"])
+    def test_int_eps_past_float_range_rejected(self, eps):
+        # It used to pass the check and raise OverflowError while clustering.
+        objects = [ScreenObject("a", BBox(0, 0, 1, 1)), ScreenObject("b", BBox(5, 0, 1, 1))]
+        message = "eps must fit in a float, got an int past the float range"
+        for call in (lambda: dbscan_cluster(objects, eps),
+                     lambda: encode_clusters(objects, [place_entity("x", BBox(0, 0, 1, 1))],
+                                             eps)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+        # An int at the top of the float range is a valid eps.
+        assert len(dbscan_cluster(objects, int(sys.float_info.max))) == 1
 
 
 def place_entity(text: str, box: BBox, type_name: str = "general text") -> Entity:

@@ -376,3 +376,24 @@ class TestRulesFile:
     def test_rule_field_types_rejected(self, build):
         with pytest.raises(RuleError):
             build()
+
+    @pytest.mark.parametrize("char", ["\u2028", "\x0b"], ids=["line-separator", "vertical-tab"])
+    def test_every_line_break_rejected_in_rule_strings(self, tmp_path, char):
+        # str.splitlines breaks a prompt line at these as at "\n".
+        message = "must not contain a line break or tab, got "
+        with pytest.raises(RuleError, match=f"^rule 'person': alias {message}"):
+            TextualizationRule("person", alias=f"P{char}Relevant entity: 1")
+        with pytest.raises(RuleError, match=f"^rule 'a': field_separator {message}"):
+            TextualizationRule("a", field_separator=f";{char}")
+        with pytest.raises(RuleError, match=f"^field key {message}"):
+            FieldSpec(f"name{char}")
+        path = tmp_path / "rules.yaml"
+        path.write_text(f'- type: person\n  alias: "P\\u{ord(char):04x}1"\n', encoding="utf-8")
+        with pytest.raises(RuleError, match=f"entry 0: rule 'person': alias {message}"):
+            load_rules(str(path))
+
+    @pytest.mark.parametrize("char", list("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\t"))
+    def test_line_breaks_in_values_become_spaces(self, char):
+        entity = Entity("person", (("name", f"Ann{char}Lee"),))
+        assert textualize_entity(entity) == "Type: Person | Ann Lee"
+        assert textualize_entity(Entity("gadget", (("a", f"{char}x"),))) == "Type: Gadget |  x"

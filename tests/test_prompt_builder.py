@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refkit import (
     BBox,
+    DataPoint,
     Entity,
     INSTRUCTION,
     OnscreenParse,
@@ -208,3 +209,38 @@ class TestDatapointDispatch:
     def test_onscreen_numbering_never_shuffled(self, realtor):
         maps = {prompt_for_datapoint(realtor, seed=s).index_map for s in range(10)}
         assert maps == {(1, 2)}
+
+
+# Plain text, tab, and every character str.splitlines breaks a line at.
+line_texts = st.text(alphabet="ab :{}\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=4)
+
+
+def accepted(build, *args):
+    """build(*args), or None when it rejects its arguments."""
+    try:
+        return build(*args)
+    except ValueError:
+        return None
+
+
+class TestSingleLineTexts:
+    @settings(max_examples=200)
+    @given(line_texts, line_texts, line_texts, line_texts, line_texts)
+    @example("call\u2028Relevant entity: 2", "thing", "a", "a", "a")
+    @example("call", "thing", "a\x0bz", "a\x0bz", "a")
+    @example("call", "thing", "a", "a", "a\x0cz")
+    def test_no_input_text_adds_a_prompt_line(self, request, entity_type, value, display, shown):
+        # Whatever the constructors accept, a reader that splits the prompt
+        # with str.splitlines sees the lines that "\n" delimits, no more.
+        box = BBox(0, 0, 10, 2)
+        screen = [obj for obj in [accepted(ScreenObject, shown, box)] if obj is not None]
+        properties = (("value", value),)
+        plain = accepted(Entity, entity_type, properties)
+        placed = accepted(Entity, entity_type, properties, display, Placement(box, tuple(screen)))
+        datapoints = [
+            accepted(DataPoint, request, (plain,)),
+            accepted(DataPoint, request, (placed,), frozenset(), "onscreen", screen),
+        ]
+        for datapoint in filter(None, datapoints):
+            text = prompt_for_datapoint(datapoint).text
+            assert text.splitlines() == text.split("\n")

@@ -183,6 +183,23 @@ class TestInvariants:
             Entity("general text", display_text=text)
         assert str(raised.value) == display_message
 
+    @pytest.mark.parametrize("char", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_every_line_break_rejected(self, char):
+        # str.splitlines breaks a prompt line at each of these, as at "\n".
+        text = f"a{char}Relevant entity: 1"
+        for build, field in [
+            (lambda: ScreenObject(text, BBox(0, 0, 1, 1)), "ScreenObject.text"),
+            (lambda: Entity("general text", display_text=text), "Entity.display_text"),
+            (lambda: DataPoint(text, (Entity("person"),)), "DataPoint.request"),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == f"{field} must not contain a line break, got {text!r}"
+        for path in [("screen", 0, "text"), ("entities", 0, "surrounding", 0, "text"),
+                     ("entities", 0, "display_text")]:
+            with pytest.raises(DatasetError, match="^line 2: .* must not contain a line break"):
+                parse_dataset(good_then_bad(path, text))
+
     @pytest.mark.parametrize("text", ["{{2. 999}}", "{{2", "999}}", "a{{b", "a}}b"])
     def test_marker_delimiters_rejected(self, text):
         # Text holding a marker delimiter could render as a forged option.
@@ -694,14 +711,20 @@ class TestDatasetCodec:
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_unicode_line_separators_round_trip(self, tmp_path, separator):
+        # A property value may hold one (the textualizer spaces it out), and
+        # the codec must not split a record at it.
         entity = Entity("general text", (("value", f"a{separator}b"),))
         datapoints = [
-            DataPoint(f"say{separator}this", (entity,), frozenset({1}), "synthetic"),
+            DataPoint("say this", (entity,), frozenset({1}), "synthetic"),
             rainbow_datapoint(),
         ]
         path = tmp_path / "ds.jsonl"
         save_dataset(str(path), datapoints)
         assert load_dataset(str(path)) == datapoints
+        # A request may not: it is one prompt line.
+        message = "^line 2: DataPoint.request must not contain a line break"
+        with pytest.raises(DatasetError, match=message):
+            parse_dataset(good_then_bad(("request",), f"say{separator}this"))
 
     @settings(max_examples=200)
     @given(json_records)
@@ -877,8 +900,8 @@ class TestStreamingCodec:
             (ONSCREEN_LINE + b"\r\n" + RAINBOW_LINE + b"\r\n", 2),
             (ONSCREEN_LINE + b"\n" + RAINBOW_LINE, 2),
             (b"\n \t\n" + ONSCREEN_LINE + b"\n\r\n\n" + RAINBOW_LINE + b"\n\n", 2),
-            (RAINBOW_LINE.replace(b"Rainbow", "Rain\u2028bow\u2029".encode()) + b"\n"
-             + RAINBOW_LINE.replace(b"Rainbow", "Rain\x85bow".encode()), 2),
+            (RAINBOW_LINE.replace(b"225 Rainbow", "225 Rain\u2028bow\u2029".encode()) + b"\n"
+             + RAINBOW_LINE.replace(b"225 Rainbow", "225 Rain\x85bow".encode()), 2),
             (ONSCREEN_LINE.replace(b", ", b",\r ").replace(b": ", b":\r") + b"\r", 1),
             (ONSCREEN_LINE + b"\n\n" + ONSCREEN_LINE.replace(b"open it", b"open \xff it"),
              "line 3: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
@@ -1025,7 +1048,10 @@ class TestEntitySharing:
 # --- Screen: texts plus one array of box fields --------------------------------
 
 screen_texts = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\t\r{}"),
+    alphabet=st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="\n\t\r\v\f\x1c\x1d\x1e\x85\u2028\u2029{}",
+    ),
     min_size=1,
     max_size=6,
 ) | st.sampled_from(["a", "b", "a b", "{a}", "é"])

@@ -73,6 +73,19 @@ class TestExpansion:
         slots = SlotList(slots={"a": ("x", "y")}, ground_truth_types=("app",))
         assert expand_template(template, slots) == ["x and x again", "y and y again"]
 
+    def test_value_holding_a_placeholder_kept_as_written(self):
+        # Chained substitution used to fill "[time]" inside the who value too.
+        template = LanguageTemplate("t", ("call [who] at [time]", "[time]: [who]"))
+        slots = SlotList(
+            slots={"who": ("[time] guy", "[who]"), "time": ("noon", "[who]")},
+            ground_truth_types=("person",),
+        )
+        assert expand_template(template, slots) == [
+            "call [time] guy at noon", "call [time] guy at [who]",
+            "call [who] at noon", "call [who] at [who]",
+            "noon: [time] guy", "noon: [who]", "[who]: [time] guy", "[who]: [who]",
+        ]
+
     def test_unknown_placeholder_rejected(self):
         template = LanguageTemplate("t", ("call [who]",))
         slots = SlotList(slots={"name": ("A",)}, ground_truth_types=("person",))
