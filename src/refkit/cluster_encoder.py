@@ -21,9 +21,9 @@ encode_clusters builds the graph once per scene and eps value, and one
 labeller walks it for each entity in the entity's own order, skipping
 objects outside its set, with no restricted copy. Only that visiting order
 depends on object order, so each result is what clustering the entity's
-objects on their own gives. It reads the scene through `object_columns`
-and works on object numbers, texts and box tuples, so a decoded Screen is
-never unpacked into ScreenObjects.
+objects on their own gives. It reads the screen and each surrounding, every
+one a Screen, through `object_columns` and works on object numbers, texts
+and box tuples, so no Screen is unpacked into ScreenObjects.
 """
 from __future__ import annotations
 

@@ -9,11 +9,12 @@ name them by index. The separators and the marker form are fixed; only the
 margin and the marker injection are configurable.
 
 Each step is a private function over parallel lists: the texts, the box
-fields as four columns (read through `object_columns`, so a decoded Screen
-is never unpacked into objects), the box centres (each computed once, with
-the same float expressions as `bbox_center`) and the reading order as a list
-of positions. So encoding a screen builds a few lists and one string per
-line rather than objects per text box.
+fields as four columns (read through `object_columns` from the screen and
+from each surrounding, every one a Screen, so none is unpacked into
+objects), the box centres (each computed once, with the same float
+expressions as `bbox_center`) and the reading order as a list of positions.
+So encoding a screen builds a few lists and one string per line rather than
+objects per text box.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from itertools import compress, islice, repeat
 from operator import add, not_, truediv
 from typing import Sequence
 
-from .screen_model import _NUMBER_TYPES, Entity, ScreenObject, median, object_columns
+from .screen_model import _NUMBER_TYPES, Entity, ScreenObject, _joined, median, object_columns
 
 SAME_LINE_SEPARATOR = "\t"
 LINE_SEPARATOR = "\n"
@@ -85,15 +86,16 @@ def _collect(
         if entity.placement is None:
             raise ValueError(f"entity {position} has no placement")
 
-    # Keys (text, left, top, width, height) of the screen's objects, then the surrounding ones.
+    # Keys (text, left, top, width, height) of the screen's objects, then of
+    # the surrounding ones, every surrounding joined into one Screen.
     columns = [list(column) for column in object_columns(screen)]
     keys = dict.fromkeys(zip(*columns))
     if len(keys) < len(columns[0]):  # the screen repeats an object
         columns = [list(column) for column in zip(*keys)]
     on_screen = len(keys)
-    for entity in entities:
-        for text, box in entity.placement.surrounding:
-            keys[(text, *box)] = None
+    around = _joined(entity.placement.surrounding for entity in entities)
+    for key in zip(*object_columns(around)):
+        keys[key] = None
     for column, values in zip(columns, zip(*islice(keys, on_screen, None))):
         column.extend(values)
     boxes = [entity.placement.box for entity in entities]

@@ -56,7 +56,8 @@ class _BBoxFields(NamedTuple):
 class BBox(_BBoxFields):
     """Axis-aligned box: (left, top) corner plus non-negative extent.
 
-    Each field is a finite int or float. A tuple of (left, top, width,
+    Each field is a finite float or an int a float holds exactly, since a
+    Screen holds box fields as floats. A tuple of (left, top, width,
     height), so building, hashing and comparing one runs at tuple speed; it
     equals the plain 4-tuple of its fields and orders like one. Every way of
     making one (the constructor, `_make`, `_replace`, unpickling, copying)
@@ -81,6 +82,10 @@ class BBox(_BBoxFields):
                 and isfinite(top)
                 and isfinite(width)
                 and isfinite(height)
+                and (type(left) is float or float(left) == left)
+                and (type(top) is float or float(top) == top)
+                and (type(width) is float or float(width) == width)
+                and (type(height) is float or float(height) == height)
             )
         except OverflowError:  # an int past the float range
             valid = False
@@ -98,6 +103,10 @@ class BBox(_BBoxFields):
                     ) from None
                 if not finite:
                     raise ValueError(f"BBox.{name} must be finite, got {value!r}")
+                if float(value) != value:  # as above, the int is not shown
+                    raise ValueError(
+                        f"BBox.{name} must be an int a float holds exactly, got one it would round"
+                    )
         if width < 0 or height < 0:
             raise ValueError("BBox width and height must be non-negative")
         return tuple.__new__(cls, (left, top, width, height))
@@ -126,9 +135,9 @@ _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 def _check_line(text: str, field: str, shown: bool) -> None:
     """ValueError, naming field, unless text may sit on one prompt line.
 
-    No text may hold a line break or a lone surrogate, and a shown one
-    (screen or display text) no tab, `{{` or `}}`. No printable character
-    is a line break, a tab or a surrogate.
+    No text may hold a line break, a lone surrogate, or the `{{` or `}}`
+    that delimit an entity marker, and a shown one (screen or display text)
+    no tab. No printable character is a line break, a tab or a surrogate.
     """
     if not text.isprintable():
         _require_utf8(text, field)
@@ -136,7 +145,7 @@ def _check_line(text: str, field: str, shown: bool) -> None:
             raise ValueError(f"{field} must not contain newline or tab")
         if not _LINE_BREAKS.isdisjoint(text):
             raise ValueError(f"{field} must not contain a line break, got {text!r}")
-    if shown and ("{{" in text or "}}" in text):
+    if "{{" in text or "}}" in text:
         raise ValueError(f"{field} must not contain a marker delimiter, got {text!r}")
 
 
@@ -166,7 +175,8 @@ class ScreenObject(_ScreenObjectFields):
     rejected rather than escaped: newline and tab separate the rendered
     parse, and any line break could forge prompt lines. So are the `{{` and
     `}}` that delimit entity markers, which would let screen text pass for a
-    numbered option; Entity.display_text is held to the same rule. Every
+    numbered option; Entity.display_text, which may not end in `}` either,
+    and DataPoint.request are held to the same rule. Every
     text field of ScreenObject, Entity and DataPoint must be UTF-8 encodable.
     """
 
@@ -216,19 +226,14 @@ class Screen(Sequence):
     a Screen. A Screen equals, and hashes like, the tuple of its objects;
     it pickles through that tuple, so unpickling makes the constructor's
     checks. Box fields are held as floats, so an int field reads back as the
-    equal float: a screen whose ints must be written as ints stays a tuple.
-    The dataset codec decodes each `screen` into one; the encoders read its
-    columns through `object_columns`.
+    equal float. Every DataPoint.screen and Placement.surrounding is one;
+    the encoders read its columns through `object_columns`.
     """
 
     __slots__ = ("_texts", "_fields")
 
     def __new__(cls, objects: Iterable[ScreenObject] = ()) -> Screen:
-        objects = _items_of(objects, ScreenObject, "screen")
-        return cls._of(
-            tuple([obj[0] for obj in objects]),
-            array("d", chain.from_iterable([obj[1] for obj in objects])),
-        )
+        return _as_screen(objects, "screen")
 
     @classmethod
     def _of(cls, texts: tuple[str, ...], fields: array) -> Screen:
@@ -279,22 +284,38 @@ class Screen(Sequence):
         return Screen, (tuple(self),)
 
 
+def _as_screen(objects: Iterable[ScreenObject], field: str) -> Screen:
+    """objects as a Screen, a Screen as it is; ValueError, naming field,
+    unless each item is exactly a ScreenObject."""
+    if type(objects) is Screen:
+        return objects
+    objects = _items_of(objects, ScreenObject, field)
+    return Screen._of(
+        tuple([obj[0] for obj in objects]),
+        array("d", chain.from_iterable([obj[1] for obj in objects])),
+    )
+
+
+def _joined(screens: Iterable[Screen]) -> Screen:
+    """The Screen of the objects of each of screens in turn, joined in C."""
+    texts: list[str] = []
+    fields = array("d")
+    for screen in screens:
+        texts += screen._texts
+        fields += screen._fields
+    return Screen._of(tuple(texts), fields)
+
+
 def object_columns(objects: Sequence[ScreenObject]) -> tuple[Sequence, ...]:
     """The texts and the left, top, width and height fields of objects, as
-    five parallel sequences.
+    five parallel sequences: the text tuple and four strided slices of the
+    box array of `Screen(objects)`, each taken in C.
 
-    The one column reader of the encoders. For a Screen these are its text
-    tuple and four strided slices of its box array, each taken in C; any
-    other sequence of ScreenObjects is unzipped, its fields kept as they are.
+    The one column reader of the encoders and the codec's writer.
     """
-    if type(objects) is Screen:
-        fields = objects._fields
-        return objects._texts, fields[0::4], fields[1::4], fields[2::4], fields[3::4]
-    pairs = tuple(zip(*objects))
-    if not pairs:
-        return (), (), (), (), ()
-    texts, boxes = pairs
-    return (texts, *zip(*boxes))
+    screen = Screen(objects)
+    fields = screen._fields
+    return screen._texts, fields[0::4], fields[1::4], fields[2::4], fields[3::4]
 
 
 @dataclass(frozen=True)
@@ -302,14 +323,12 @@ class Placement:
     """Where an entity sits on screen and the text elements around it."""
 
     box: BBox
-    surrounding: tuple[ScreenObject, ...] = ()
+    surrounding: Screen = ()  # any iterable of ScreenObjects, held as a Screen
 
     def __post_init__(self) -> None:
         if type(self.box) is not BBox:
             raise ValueError(f"placement box must be a BBox, got {self.box!r}")
-        object.__setattr__(
-            self, "surrounding", _items_of(self.surrounding, ScreenObject, "surrounding")
-        )
+        object.__setattr__(self, "surrounding", _as_screen(self.surrounding, "surrounding"))
 
 
 @dataclass(frozen=True)
@@ -358,6 +377,10 @@ class Entity:
             if type(text) is not str:
                 raise ValueError(f"display_text must be a string, got {text!r}")
             _check_line(text, "Entity.display_text", shown=True)
+            # Its marker would end in "}}}": a reader stopping at the first
+            # "}}" would drop the last character.
+            if text.endswith("}"):
+                raise ValueError(f"Entity.display_text must not end in '}}', got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -366,24 +389,22 @@ class DataPoint:
 
     ground_truth holds 1-based positions into `entities`; empty means no
     entity is relevant. `screen` carries the full-screen text objects for
-    on-screen datapoints: a Screen is kept as it is (the codec decodes one),
-    and any other iterable becomes the tuple of its objects. The request is
-    one line of the prompt, so a line break in it (as in ScreenObject text;
-    a tab is allowed) is rejected: it could forge the lines that follow.
+    on-screen datapoints: any iterable of ScreenObjects, held as a Screen
+    (a Screen is kept as it is). The request is one line of the prompt, so
+    a line break or a marker delimiter in it (as in ScreenObject text; a tab
+    is allowed) is rejected: it could forge the lines or options that follow.
     """
 
     request: str
     entities: tuple[Entity, ...]
     ground_truth: frozenset[int] = frozenset()
     kind: str = "conversational"
-    screen: Sequence[ScreenObject] | None = None
+    screen: Screen | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entities", _items_of(self.entities, Entity, "entities"))
-        if self.screen is not None and type(self.screen) is not Screen:
-            object.__setattr__(
-                self, "screen", _items_of(self.screen, ScreenObject, "screen")
-            )
+        if self.screen is not None:
+            object.__setattr__(self, "screen", _as_screen(self.screen, "screen"))
         if type(self.request) is not str:
             raise ValueError(f"request must be a string, got {self.request!r}")
         _check_line(self.request, "DataPoint.request", shown=False)
@@ -458,18 +479,18 @@ def _box_fields(value: object) -> Sequence[float]:
     return _box_from_json(value)
 
 
-def _objects_to_json(objects: Sequence[ScreenObject]) -> list[dict]:
-    """The JSON values of objects, each field written as it is held."""
+def _objects_to_json(objects: Screen) -> list[dict]:
+    """The JSON values of objects, each box field written as a float."""
     return [
         {"text": text, "box": [left, top, width, height]}
         for text, left, top, width, height in zip(*object_columns(objects))
     ]
 
 
-def _objects_from_json(value: object, field: str) -> tuple[list[str], list[Sequence[float]]]:
-    """The texts and boxes of a decoded JSON array of screen objects, as
-    parallel lists, each checked once, as ScreenObject checks them; every
-    box is four floats. A bad box is named before a bad text.
+def _objects_from_json(value: object, field: str) -> Screen:
+    """The Screen of a decoded JSON array of screen objects, each text and
+    box checked once, as ScreenObject checks them. A bad box is named before
+    a bad text.
     """
     texts = []
     boxes = []
@@ -480,7 +501,7 @@ def _objects_from_json(value: object, field: str) -> tuple[list[str], list[Seque
         boxes.append(_box_fields(entry["box"]))
         _check_screen_text(text)
         texts.append(text)
-    return texts, boxes
+    return Screen._of(tuple(texts), array("d", list(chain.from_iterable(boxes))))
 
 
 def _entity_to_json(entity: Entity) -> dict:
@@ -510,9 +531,7 @@ def _entity_from_json(value: object, shared: dict) -> Entity:
     if "box" in value:
         placement = Placement(
             box=_box_from_json(value["box"]),
-            surrounding=tuple(map(
-                _checked_object, *_objects_from_json(value.get("surrounding", []), "surrounding")
-            )),
+            surrounding=_objects_from_json(value.get("surrounding", []), "surrounding"),
         )
     entity_type = value["type"]
     properties = value.get("properties", ())
@@ -557,10 +576,6 @@ def datapoint_from_record(record: object, shared: dict) -> DataPoint:
     for key in ("request", "kind", "entities", "ground_truth"):
         if key not in record:
             raise ValueError(f"record missing required field {key!r}")
-    screen = None
-    if "screen" in record:
-        texts, boxes = _objects_from_json(record["screen"], "screen")
-        screen = Screen._of(tuple(texts), array("d", list(chain.from_iterable(boxes))))
     return DataPoint(
         request=record["request"],
         entities=tuple(
@@ -568,7 +583,7 @@ def datapoint_from_record(record: object, shared: dict) -> DataPoint:
         ),
         ground_truth=_expect(record["ground_truth"], "ground_truth"),
         kind=record["kind"],
-        screen=screen,
+        screen=_objects_from_json(record["screen"], "screen") if "screen" in record else None,
     )
 
 

@@ -502,13 +502,26 @@ def assert_screen_and_tuple_encode_alike(screen, entities, config):
 
 
 class TestColumnReader:
-    """Both encoders read a Screen's columns and any other sequence's objects
-    through one reader, so the two must give the same output."""
+    """Both encoders read any sequence of ScreenObjects as a Screen, through
+    one column reader, so a Screen and its tuple must give the same output."""
 
     @settings(max_examples=300, deadline=None)
     @given(column_scenes())
     def test_screen_and_its_tuple_encode_alike(self, scene):
         assert_screen_and_tuple_encode_alike(*scene)
+
+    @settings(max_examples=100, deadline=None)
+    @given(column_scenes())
+    def test_a_list_and_its_screen_encode_alike(self, scene):
+        # Both encoders take any sequence of ScreenObjects, as a Screen.
+        screen, entities, config = scene
+        columns = Screen(screen)
+        assert type(screen) is list
+        assert encode_screen(screen, entities, config) == encode_screen(columns, entities, config)
+        for eps, min_pts in ((None, 1), (2.5, 2)):
+            assert encode_clusters(screen, entities, eps, min_pts) == (
+                encode_clusters(columns, entities, eps, min_pts)
+            )
 
     def test_duplicates_and_objects_at_an_entity_box(self):
         header = ScreenObject("Header", BBox(0.0, 0.0, 50.0, 10.0))

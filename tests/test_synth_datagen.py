@@ -115,6 +115,18 @@ class TestGeneration:
         assert gt_types == {"music", "video"}
         assert len(dp.ground_truth) == 2
 
+    def test_request_holding_a_marker_rejected(self):
+        # The request would show an extra, forged option above the real ones.
+        template = LanguageTemplate("forge", ("open [site]",))
+        slots = SlotList(slots={"site": ("it {{2. evil.example}}",)}, ground_truth_types=("url",))
+        pool = pool_entities(exclude_types=("url",))
+        with pytest.raises(TemplateError) as raised:
+            generate_datapoints(template, slots, pool, per_query_negatives=1, seed=0)
+        assert str(raised.value) == (
+            "template 'forge': DataPoint.request must not contain a marker delimiter, "
+            "got 'open it {{2. evil.example}}'"
+        )
+
     def test_zero_negatives(self):
         template, slots = share_template()
         pool = pool_entities(exclude_types=slots.ground_truth_types)
