@@ -17,9 +17,10 @@ axis gaps are within eps. This is exact: the graph, so every cluster, is
 what a scan over all objects gives. n objects with about m neighbours each
 cost about O(n * m) tests, O(n^2) when every box spans the scene.
 
-encode_clusters builds the graph once per scene and eps value, and one
-labeller walks it for each entity in the entity's own order, skipping
-objects outside its set, with no restricted copy. Only that visiting order
+encode_clusters numbers the scene's distinct objects once and builds the
+graph over all of them the first time an eps value is used; one labeller
+walks it for each entity in the entity's own order, skipping objects
+outside its set, with no restricted copy. Only that visiting order
 depends on object order, so each result is what clustering the entity's
 objects on their own gives. It reads the screen and each surrounding, every
 one a Screen, through `object_columns` and works on object numbers, texts
@@ -31,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .screen_model import (
     _NUMBER_TYPES, BBox, Entity, ScreenObject, bbox_center, median, object_columns
@@ -164,14 +165,11 @@ def _check_parameters(eps: float, min_pts: int) -> None:
 
 
 def _label_clusters(
-    size: int,
-    graph: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
-    order: Sequence[int],
-    min_pts: int,
+    graph: Sequence[Sequence[int]], order: Sequence[int], min_pts: int
 ) -> list[list[int]]:
-    """DBSCAN labelling of the objects numbered n in order, each below size,
-    over their eps graph. Returns the members of clusters 0, 1, ... in turn
-    and then the noise (maybe none), each in `order`.
+    """DBSCAN labelling of the objects numbered n in order over their eps
+    graph, a list indexed by object number. Returns the members of clusters
+    0, 1, ... in turn and then the noise (maybe none), each in `order`.
 
     graph[n] holds the n' within eps of n, n itself included, in any order;
     objects not in `order` are neither labelled nor counted as neighbours.
@@ -180,7 +178,7 @@ def _label_clusters(
     claims every unclaimed point density-reachable from its start, whatever
     order it reaches them in.
     """
-    labels: list[int | None] = [_OUTSIDE] * size
+    labels: list[int | None] = [_OUTSIDE] * len(graph)
     for n in order:
         labels[n] = None
     core = None  # with min_pts 1 every point is core: its neighbourhood holds itself
@@ -234,7 +232,7 @@ def dbscan_cluster(
     if not objects:
         return []
     graph = _neighbor_lists([obj.box for obj in objects], eps)
-    *groups, noise = _label_clusters(len(objects), graph, range(len(objects)), min_pts)
+    *groups, noise = _label_clusters(graph, range(len(objects)), min_pts)
     clusters = [
         Cluster(cid, tuple(map(objects.__getitem__, group))) for cid, group in enumerate(groups)
     ]
@@ -297,12 +295,14 @@ def encode_clusters(
     the shared screen list, deduplicated by (text, box). eps=None derives
     the threshold from the entity's object set (median object height).
 
-    The eps-neighbourhood graph is built once per scene and eps value, over
-    the union of the object sets that use it, and each entity's objects are
+    The eps-neighbourhood graph is built the first time an eps value is
+    used, over every object of the scene, and each entity's objects are
     labelled over it in the entity's own order, skipping all others. A
     neighbourhood restricted to a subset is the subset's own neighbourhood,
     so every encoding is exactly what dbscan_cluster over the entity's own
-    object set gives.
+    object set gives. With one eps for all entities, as any explicit eps
+    gives, the graph is just the union of their object sets; it holds more
+    only when eps=None and private objects give entities different medians.
     """
     # The scene's distinct objects, each numbered once: numbers maps an
     # object's (text, box) to its number, and texts and boxes hold its fields.
@@ -320,37 +320,28 @@ def encode_clusters(
         return list(map(numbers.__getitem__, keys))
 
     screen_numbers = numbered(screen)
-    # Per entity: its surrounding objects, then the screen's, without repeats; and eps.
-    object_sets: list[tuple[list[int], float | None]] = []
-    for index, entity in enumerate(entities, 1):
-        if entity.placement is None:
+    # Every surrounding is numbered before the first graph is built, so each
+    # graph covers every object of the scene.
+    surroundings = [
+        None if entity.placement is None else numbered(entity.placement.surrounding)
+        for entity in entities
+    ]
+    graphs: dict[float, list[list[int]]] = {}
+    encodings = []
+    for index, (entity, surrounding) in enumerate(zip(entities, surroundings), 1):
+        if surrounding is None:
             raise ValueError(f"entity {index} has no placement")
-        own = list(dict.fromkeys(numbered(entity.placement.surrounding) + screen_numbers))
-        entity_eps = eps
+        # Its surrounding objects, then the screen's, without repeats.
+        own = list(dict.fromkeys(surrounding + screen_numbers))
+        member_texts: Iterable[str] = ()
         if own:
+            entity_eps = eps
             if eps is None:
                 entity_eps = median(boxes[number][3] for number in own) or 1.0
             _check_parameters(entity_eps, min_pts)
-        object_sets.append((own, entity_eps))
-
-    # Per eps, one graph over the union of the object sets that use it.
-    unions: dict[float, set[int]] = {}
-    for own, entity_eps in object_sets:
-        if own:
-            unions.setdefault(entity_eps, set()).update(own)
-    graphs: dict[float, dict[int, list[int]]] = {}
-    for graph_eps, union in unions.items():
-        members = list(union)
-        near = _neighbor_lists([boxes[n] for n in members], graph_eps)
-        graphs[graph_eps] = {
-            n: [members[j] for j in around] for n, around in zip(members, near)
-        }
-
-    encodings = []
-    for index, (entity, (own, entity_eps)) in enumerate(zip(entities, object_sets), 1):
-        member_texts: Iterable[str] = ()
-        if own:
-            *groups, _ = _label_clusters(len(texts), graphs[entity_eps], own, min_pts)
+            if entity_eps not in graphs:
+                graphs[entity_eps] = _neighbor_lists(boxes, entity_eps)
+            *groups, _ = _label_clusters(graphs[entity_eps], own, min_pts)
             position = _nearest(
                 entity.placement.box, (map(boxes.__getitem__, group) for group in groups)
             )

@@ -661,6 +661,23 @@ class TestEncoding:
         encode_clusters(screen, entities)
         assert builds == [(200, one_entity)]  # not one build per entity
 
+        # With eps=None, two entities whose private objects differ in height
+        # derive two eps values (median heights 20 and 4): one build for
+        # each, over every distinct object of the scene.
+        screen = [ScreenObject("screen top", BBox(0, 0, 30, 10)),
+                  ScreenObject("screen foot", BBox(0, 100, 30, 10))]
+        tall = tuple(ScreenObject(f"tall {k}", BBox(40, 25 * k, 30, 20)) for k in range(3))
+        short = tuple(ScreenObject(f"short {k}", BBox(80, 6 * k, 30, 4)) for k in range(3))
+        entities = [
+            Entity("general text", (), "first", Placement(BBox(40, 80, 30, 20), tall)),
+            Entity("general text", (), "second", Placement(BBox(80, 20, 30, 4), short)),
+            Entity("general text", (), "third", Placement(BBox(40, 0, 30, 20), tall)),
+        ]
+        builds.clear()
+        encodings = encode_clusters(screen, entities)
+        assert [objects for objects, _ in builds] == [8, 8]
+        assert encodings == per_entity_encodings(screen, entities)
+
     def test_benchmark_scenes_match_per_entity_clustering(self, benchmark_input):
         # cluster-encode's seed-1 scenes at full size: in some every
         # surrounding object is on the screen, so all entities share one

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -211,8 +212,36 @@ class TestDatapointDispatch:
         assert maps == {(1, 2)}
 
 
-# Plain text, tab, and every character str.splitlines breaks a line at.
-line_texts = st.text(alphabet="ab :{}\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=4)
+# Plain text, what a marker body holds ("1. a"), tab, and every character
+# str.splitlines breaks a line at.
+line_texts = st.text(alphabet="ab1. :{}\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=4)
+
+MARKER = re.compile(r"\{\{(\d+)\. (.*?)\}\}")
+
+
+def read_prompt(text):
+    """Reference reader, written from the prompt layout: the instruction, a
+    blank line, `User request: <request>`, then either `User Entities:`,
+    `0. None` and one `k. <entity>` line per option, or `Screen:` and the
+    screen parse, and last the cue `Relevant entity:`. Returns the request
+    and, for a conversational prompt, the option lines' texts in order; for
+    an on-screen one, the parse and its markers as (number, text, span),
+    spans relative to the parse."""
+    lines = text.split("\n")
+    assert lines[:2] == [INSTRUCTION, ""] and lines[-1] == "Relevant entity:"
+    assert lines[2].startswith("User request: ")
+    request = lines[2][len("User request: "):]
+    if lines[3] == "User Entities:":
+        assert lines[4] == "0. None"
+        options = []
+        for option, line in enumerate(lines[5:-1], 1):
+            assert line.startswith(f"{option}. ")
+            options.append(line[len(f"{option}. "):])
+        return request, options
+    assert lines[3] == "Screen:"
+    parse = "\n".join(lines[4:-1])
+    markers = [(int(m[1]), m[2], m.span()) for m in MARKER.finditer(parse)]
+    return request, (parse, markers)
 
 
 def accepted(build, *args):
@@ -229,18 +258,43 @@ class TestSingleLineTexts:
     @example("call\u2028Relevant entity: 2", "thing", "a", "a", "a")
     @example("call", "thing", "a\x0bz", "a\x0bz", "a")
     @example("call", "thing", "a", "a", "a\x0cz")
+    @example("call", "thing", "1. a", "a}}b", "a")  # a marker would end inside its own text
     def test_no_input_text_adds_a_prompt_line(self, request, entity_type, value, display, shown):
         # Whatever the constructors accept, a reader that splits the prompt
-        # with str.splitlines sees the lines that "\n" delimits, no more.
+        # with str.splitlines sees the lines that "\n" delimits, no more,
+        # and a reader of the prompt layout finds the request and exactly
+        # the options: numbered lines, or one marker per entity.
         box = BBox(0, 0, 10, 2)
         screen = [obj for obj in [accepted(ScreenObject, shown, box)] if obj is not None]
         properties = (("value", value),)
         plain = accepted(Entity, entity_type, properties)
-        placed = accepted(Entity, entity_type, properties, display, Placement(box, tuple(screen)))
+        placed = [
+            entity
+            for entity in [
+                accepted(Entity, entity_type, properties, display, Placement(box, tuple(screen))),
+                accepted(Entity, entity_type, (), value, Placement(BBox(20, 0, 10, 2))),
+            ]
+            if entity is not None
+        ]
         datapoints = [
             accepted(DataPoint, request, (plain,)),
-            accepted(DataPoint, request, (placed,), frozenset(), "onscreen", screen),
+            accepted(DataPoint, request, tuple(placed), frozenset(), "onscreen", screen)
+            if placed else None,
         ]
         for datapoint in filter(None, datapoints):
             text = prompt_for_datapoint(datapoint).text
             assert text.splitlines() == text.split("\n")
+            found_request, body = read_prompt(text)
+            assert found_request == datapoint.request
+            entities = datapoint.entities
+            if datapoint.kind != "onscreen":
+                assert len(body) == len(entities)
+                continue
+            parse, markers = body
+            encoded = encode_screen(datapoint.screen, entities)
+            assert parse == encoded.text
+            assert sorted(number for number, _, _ in markers) == list(range(1, len(entities) + 1))
+            spans = dict(encoded.marker_spans)
+            for number, marker_text, span in markers:
+                assert marker_text == entities[number - 1].display_text
+                assert span == spans[number]

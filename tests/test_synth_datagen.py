@@ -175,6 +175,33 @@ class TestGeneration:
         with pytest.raises(ValueError, match="negatives"):
             generate_datapoints(template, slots, pool, per_query_negatives=3)
 
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"per_query_negatives": -1}, "per_query_negatives must be an int >= 0, got -1"),
+            ({"per_query_negatives": True}, "per_query_negatives must be an int >= 0, got True"),
+            ({"per_query_negatives": 1.5}, "per_query_negatives must be an int >= 0, got 1.5"),
+            ({"max_samples": -1}, "max_samples must be None or an int >= 0, got -1"),
+            ({"max_samples": 2.5}, "max_samples must be None or an int >= 0, got 2.5"),
+            ({"max_samples": False}, "max_samples must be None or an int >= 0, got False"),
+        ],
+        ids=["negatives -1", "negatives True", "negatives 1.5", "samples -1", "samples 2.5",
+             "samples False"],
+    )
+    def test_bad_counts_rejected(self, arguments, message):
+        # Each is named, not blamed on the template or left to random.
+        template, slots = share_template()
+        pool = pool_entities(exclude_types=slots.ground_truth_types)
+        with pytest.raises(ValueError) as raised:
+            generate_datapoints(template, slots, pool, **arguments)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
+
+    def test_zero_samples(self):
+        template, slots = share_template()
+        pool = pool_entities(exclude_types=slots.ground_truth_types)
+        assert generate_datapoints(template, slots, pool, max_samples=0) == []
+
     def test_pool_containing_ground_truth_type_rejected(self):
         template, slots = share_template()
         pool = pool_entities()  # includes email address entities
