@@ -12,13 +12,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .screen_model import _LINE_BREAKS, Entity
+from .screen_model import _LINE_BREAKS, MAX_MEMO, Entity
 
 _TYPE_JOIN = " | "
-
-# Most renderings one registry remembers; past it the least recently used is
-# dropped, as `re` bounds its compile cache.
-MAX_MEMO = 4096
 
 
 class RuleError(ValueError):

@@ -9,6 +9,7 @@ feeds the separately reported invalid rate.
 """
 from __future__ import annotations
 
+import functools
 import random
 import re
 import zlib
@@ -19,7 +20,7 @@ from typing import Iterable, Protocol, Sequence
 from .entity_textualizer import RuleRegistry
 from .layout_encoder import EncoderConfig
 from .prompt_builder import Prompt, options_to_original, prompt_for_datapoint
-from .screen_model import DataPoint
+from .screen_model import _NUMBER_TYPES, MAX_MEMO, DataPoint
 
 # An integer token: its sign, and its digits without leading zeros ("0" for zero).
 # Digits are ASCII only; int() would also read other scripts' decimal digits.
@@ -115,10 +116,21 @@ class OracleResolver:
     The indices come back shuffled and occasionally with one repeated, to
     exercise the order-free scoring and dedup paths. Output depends only on
     (seed, datapoint), never on call order, so the resolver behaves
-    statelessly under any evaluation schedule.
+    statelessly under any evaluation schedule. The seeded draws are made
+    once per distinct (request key, option count, duplicate_rate) and kept
+    in an lru_cache of up to MAX_MEMO entries.
+
+    seed must be an int and duplicate_rate an int or float in [0, 1]; a
+    bool, NaN or anything else is a ValueError.
     """
 
     def __init__(self, seed: int = 0, duplicate_rate: float = 0.5):
+        # Exact types, as BBox checks its fields: a bool is not a number
+        # here. Written so that NaN, which compares false both ways, fails too.
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        if type(duplicate_rate) not in _NUMBER_TYPES or not 0 <= duplicate_rate <= 1:
+            raise ValueError(f"duplicate_rate must be a number in [0, 1], got {duplicate_rate!r}")
         self.seed = seed
         self.duplicate_rate = duplicate_rate
 
@@ -126,12 +138,29 @@ class OracleResolver:
         if not datapoint.ground_truth:
             return "0"
         key = zlib.crc32(datapoint.request.encode("utf-8")) ^ (self.seed * 0x9E3779B1)
-        rng = random.Random(key)
         options = sorted(prompt.to_option(i) for i in datapoint.ground_truth)
-        rng.shuffle(options)
-        if self.duplicate_rate and rng.random() < self.duplicate_rate:
-            options.append(rng.choice(options))
-        return ", ".join(str(option) for option in options)
+        order, repeated = _oracle_draw(key, len(options), self.duplicate_rate)
+        answer = [options[i] for i in order]
+        if repeated is not None:
+            answer.append(answer[repeated])
+        return ", ".join(str(option) for option in answer)
+
+
+@functools.lru_cache(maxsize=MAX_MEMO)
+def _oracle_draw(key: int, n: int, duplicate_rate: float) -> tuple[tuple[int, ...], int | None]:
+    """random.Random(key)'s shuffle of n option positions, then the shuffled
+    position it repeats, or None. The shuffle and choice() never read the
+    values they move or pick, so these positions reproduce the draws made on
+    the options themselves. Equal rates draw alike, so the cache may take 1
+    for 1.0.
+    """
+    rng = random.Random(key)
+    order = list(range(n))
+    rng.shuffle(order)
+    repeated = None
+    if duplicate_rate and rng.random() < duplicate_rate:
+        repeated = rng.choice(range(n))
+    return tuple(order), repeated
 
 
 class RemoteResolver:
@@ -267,8 +296,13 @@ def evaluate_dataset(
     candidate entity, and an on-screen prompt needs entity markers, so an
     item without one, or an on-screen item under a config that turns markers
     off, fails the run before the first resolver call; items are numbered
-    from 0.
+    from 0. seed must be an int and max_workers an int >= 1 (not a bool):
+    anything else is a ValueError before any item is looked at.
     """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if type(max_workers) is not int or max_workers < 1:
+        raise ValueError(f"max_workers must be an int >= 1, got {max_workers!r}")
     datapoints = list(datapoints)
     markers_off = config is not None and not config.inject_markers
     for position, datapoint in enumerate(datapoints):

@@ -9,13 +9,14 @@ truth can be translated either way.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .entity_textualizer import RuleRegistry, textualize_entity
 from .layout_encoder import EncoderConfig, OnscreenParse, encode_screen
-from .screen_model import DataPoint, Entity
+from .screen_model import MAX_MEMO, DataPoint, Entity
 
 INSTRUCTION = (
     "Select which among the following entities, if any, are required to "
@@ -48,13 +49,28 @@ def shuffle_entities(
     """Seeded permutation of the entity list; seed=None keeps input order.
 
     The returned index_map gives, for each prompt position (1-based), the
-    original 1-based entity position.
+    original 1-based entity position. The order is random.Random(seed)'s
+    shuffle of 1..n, drawn once per distinct (seed, n) and kept in an
+    lru_cache of up to MAX_MEMO entries.
     """
     entities = tuple(entities)
-    order = list(range(1, len(entities) + 1))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
-    return tuple(entities[i - 1] for i in order), tuple(order)
+    if seed is None:
+        order = tuple(range(1, len(entities) + 1))
+    else:
+        order = _permutation(seed, len(entities))
+    return tuple(entities[i - 1] for i in order), order
+
+
+# typed=True: equal seeds of different types may seed differently.
+# random.Random seeds an int by its absolute value and any other number by
+# its hash, so 1, 1.0 and True agree, but -1 and -1.0, or 2**62 and
+# 2.0**62, do not; the untyped cache would hand one the other's order.
+@functools.lru_cache(maxsize=MAX_MEMO, typed=True)
+def _permutation(seed, n: int) -> tuple[int, ...]:
+    """The MT19937 shuffle of 1..n under seed; synthetic data repeats seeds."""
+    order = list(range(1, n + 1))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
 
 
 def options_to_original(options: Iterable[int], index_map: Sequence[int]) -> frozenset[int]:

@@ -18,6 +18,11 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 KINDS = ("conversational", "synthetic", "onscreen")
 
+# Most entries one memo holds. The renderings' and seeded draws' lru_caches
+# drop the least recently used past it, as `re` bounds its compile cache;
+# the dataset writer's entity texts start over.
+MAX_MEMO = 4096
+
 
 class DatasetError(ValueError):
     """Raised when a dataset stream cannot be parsed or validated."""
@@ -587,10 +592,44 @@ def datapoint_from_record(record: object, shared: dict) -> DataPoint:
     )
 
 
+# json.dumps(value, ensure_ascii=False), with its encoder built once.
+_dumps = json.JSONEncoder(ensure_ascii=False).encode
+_string = json.encoder.encode_basestring
+
+
 def _dataset_lines(datapoints: Iterable[DataPoint]) -> Iterator[str]:
-    """Each datapoint's record as one JSONL line, made as it is asked for."""
+    """Each datapoint's record as one JSONL line, made as it is asked for.
+
+    A line is json.dumps(datapoint_to_record(datapoint), ensure_ascii=False)
+    built from its parts, so each placement-free entity's JSON is made once
+    per call: `written` maps such an Entity to its text, as `shared` maps
+    records to entities when decoding, and starts over past MAX_MEMO
+    entries. Equal placement-free entities hold equal strings, so they are
+    written alike; an entity with a placement is written afresh, since
+    equal boxes may be written differently (0.0 and -0.0, 1 and 1.0).
+    """
+    written: dict = {}
     for datapoint in datapoints:
-        yield json.dumps(datapoint_to_record(datapoint), ensure_ascii=False) + "\n"
+        entities = []
+        for entity in datapoint.entities:
+            if entity.placement is not None:
+                entities.append(_dumps(_entity_to_json(entity)))
+                continue
+            text = written.get(entity)
+            if text is None:
+                if len(written) >= MAX_MEMO:
+                    written.clear()
+                text = written[entity] = _dumps(_entity_to_json(entity))
+            entities.append(text)
+        screen = datapoint.screen
+        ground_truth = ", ".join(map(int.__repr__, sorted(datapoint.ground_truth)))
+        yield "".join((
+            '{"request": ', _string(datapoint.request),
+            ', "kind": ', _string(datapoint.kind),
+            ', "entities": [', ", ".join(entities), "]",
+            "" if screen is None else ', "screen": ' + _dumps(_objects_to_json(screen)),
+            ', "ground_truth": [', ground_truth, "]}\n",
+        ))
 
 
 def _parse_lines(lines: Iterable[str | bytes]) -> list[DataPoint]:
@@ -615,7 +654,12 @@ def _parse_lines(lines: Iterable[str | bytes]) -> list[DataPoint]:
 
 
 def format_dataset(datapoints: Iterable[DataPoint]) -> str:
-    """Serialize datapoints to the line-delimited JSON dataset format."""
+    """Serialize datapoints to the line-delimited JSON dataset format.
+
+    Each line is json.dumps(datapoint_to_record(dp), ensure_ascii=False)
+    plus "\n". Within the call each distinct entity without a placement is
+    encoded once, up to MAX_MEMO texts held at a time.
+    """
     return "".join(_dataset_lines(datapoints))
 
 
@@ -657,9 +701,11 @@ def load_dataset(source: str | IO) -> list[DataPoint]:
 def save_dataset(target: str | IO, datapoints: Iterable[DataPoint]) -> None:
     """Write datapoints to a file path or an open text stream.
 
-    Records are encoded and written one at a time, so only one record's JSON
-    is held. If `datapoints` raises part-way, the records before it stay
-    written (a path's file is closed first).
+    Records are encoded and written one at a time, as format_dataset
+    encodes them, so only one record's JSON is held, plus the JSON text of
+    at most MAX_MEMO distinct placement-free entities, each encoded once.
+    If `datapoints` raises part-way, the records before it stay written (a
+    path's file is closed first).
     """
     if hasattr(target, "write"):
         target.writelines(_dataset_lines(datapoints))

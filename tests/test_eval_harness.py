@@ -1,6 +1,9 @@
 import json
+import math
 import random
+import re
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -11,6 +14,7 @@ from refkit import (
     ConstantResolver,
     DataPoint,
     EncoderConfig,
+    Entity,
     EvaluationError,
     load_dataset,
     OracleResolver,
@@ -178,6 +182,59 @@ class TestOracleResolver:
         tokens = [t.strip() for t in raw.split(",")]
         assert len(tokens) == 2 and tokens[0] == tokens[1]
 
+    # Several ground truths share each request, so a draw kept for one
+    # option count and handed out for another shows.
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(-(2**40), 2**40),
+        rate=st.sampled_from([0, 0.0, 1, 1.0, 0.5]) | st.floats(0, 1),
+        request=st.sampled_from(["call a", "call b"]) | st.text("ab é\"", max_size=6),
+        prompt_seed=st.none() | st.integers(0, 99),
+        n=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_matches_drawing_on_the_options(self, seed, rate, request, prompt_seed, n, data):
+        entities = tuple(Entity("person", (("name", f"p{i}"),)) for i in range(n))
+        oracle = OracleResolver(seed=seed, duplicate_rate=rate)
+        truths = data.draw(st.lists(st.sets(st.integers(1, n)), min_size=1, max_size=4))
+        for truth in truths:
+            dp = DataPoint(request, entities, frozenset(truth), "synthetic")
+            prompt = prompt_for_datapoint(dp, seed=prompt_seed)
+            expected = reference_oracle_answer(seed, rate, prompt, dp)
+            assert oracle.resolve(prompt, dp) == expected
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", True, None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
+            OracleResolver(seed=seed)
+
+    @pytest.mark.parametrize(
+        "rate", [math.nan, 1.5, -0.25, math.inf, "0.5", True, False, None, 2]
+    )
+    def test_duplicate_rate_must_be_a_number_in_unit_interval(self, rate):
+        with pytest.raises(
+            ValueError,
+            match=rf"^duplicate_rate must be a number in \[0, 1\], got {re.escape(repr(rate))}$",
+        ):
+            OracleResolver(duplicate_rate=rate)
+
+    @pytest.mark.parametrize("rate", [0, 1, 0.0, -0.0, 1.0, 0.25])
+    def test_duplicate_rate_bounds_included(self, rate):
+        assert OracleResolver(seed=-(2**80), duplicate_rate=rate).duplicate_rate == rate
+
+
+def reference_oracle_answer(seed, duplicate_rate, prompt, datapoint) -> str:
+    """OracleResolver.resolve as it once drew: on the options themselves."""
+    if not datapoint.ground_truth:
+        return "0"
+    key = zlib.crc32(datapoint.request.encode("utf-8")) ^ (seed * 0x9E3779B1)
+    rng = random.Random(key)
+    options = sorted(prompt.to_option(i) for i in datapoint.ground_truth)
+    rng.shuffle(options)
+    if duplicate_rate and rng.random() < duplicate_rate:
+        options.append(rng.choice(options))
+    return ", ".join(str(option) for option in options)
+
 
 class FlakyResolver:
     """Fails on every datapoint whose request is marked, else answers 0."""
@@ -265,6 +322,23 @@ class TestEvaluateDataset:
         report = evaluate_dataset(datapoints, ConstantResolver("banana"), seed=0)
         assert report.invalid == 5
         assert report.accuracy == 0.0
+
+    @pytest.mark.parametrize("max_workers", [0, -3, True, "2", 2.0, None])
+    def test_max_workers_must_be_a_positive_int(self, max_workers):
+        resolver = CountingResolver()
+        with pytest.raises(
+            ValueError,
+            match=rf"^max_workers must be an int >= 1, got {re.escape(repr(max_workers))}$",
+        ):
+            evaluate_dataset(small_synthetic_set(2), resolver, max_workers=max_workers)
+        assert resolver.calls == 0
+
+    @pytest.mark.parametrize("seed", [1.5, "0", None, True])
+    def test_seed_must_be_an_int(self, seed):
+        resolver = CountingResolver()
+        with pytest.raises(ValueError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
+            evaluate_dataset(small_synthetic_set(2), resolver, seed=seed)
+        assert resolver.calls == 0
 
     @pytest.mark.parametrize("max_workers", [1, 4])
     def test_entity_less_item_rejected_before_any_call(self, max_workers):

@@ -97,6 +97,42 @@ class TestShuffle:
         options = {prompt.to_option(i) for i in gt}
         assert options_to_original(options, prompt.index_map) == gt
 
+    # Several sizes per seed, so an order kept for one size and handed out
+    # for another shows.
+    @settings(max_examples=200)
+    @given(
+        st.integers(-(2**70), 2**70) | st.integers(-5, 5) | st.sampled_from([2**32, 2**32 + 1]),
+        st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    )
+    @example(1, [3, 5, 8])
+    @example(1.0, [3, 5, 8])
+    @example(True, [3, 5, 8])
+    @example(-1, [6])
+    @example(-1.0, [6])
+    def test_matches_a_seeded_shuffle(self, seed, sizes):
+        for n in sizes:
+            expected = list(range(1, n + 1))
+            random.Random(seed).shuffle(expected)
+            entities = make_entities(n)
+            shuffled, index_map = shuffle_entities(entities, seed)
+            assert index_map == tuple(expected)
+            assert shuffled == tuple(entities[i - 1] for i in expected)
+
+    def test_equal_seeds_of_other_types(self):
+        # random.Random seeds 1, 1.0 and True alike, so they give one order;
+        # -1 and -1.0 (and 2**62 and 2.0**62) compare equal but seed apart,
+        # and each must still get its own order, whichever came first.
+        entities = make_entities(9)
+        orders = {}
+        for seed in (1, 1.0, True, -1, -1.0, 2**62, 2.0**62):
+            expected = list(range(1, 10))
+            random.Random(seed).shuffle(expected)
+            orders[repr(seed)] = shuffle_entities(entities, seed)[1]
+            assert orders[repr(seed)] == tuple(expected)
+        assert orders["1"] == orders["1.0"] == orders["True"]
+        assert orders["-1"] != orders["-1.0"]
+        assert orders[repr(2**62)] != orders[repr(2.0**62)]
+
     @given(st.integers(0, 10_000), st.integers(1, 12))
     def test_remap_round_trip_property(self, seed, n):
         rng = random.Random(seed)

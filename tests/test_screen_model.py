@@ -1315,3 +1315,100 @@ class TestScreenCodec:
             added = len(gc.get_objects()) - before
             assert len(held(datapoint)) == 10_000
             assert added < 50
+
+
+# --- The dataset writer: one JSON text per distinct placement-free entity -------
+
+# Quotes, backslashes, control characters, line breaks and non-ASCII text.
+free_texts = st.text(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from('"\\\x00\x1f\x7f\u2028\x85\u00e9\U0001f600{}'),
+    max_size=5,
+)
+line_texts = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="\n\t\r\v\f\x1c\x1d\x1e\x85\u2028\u2029{}",
+    )
+    | st.sampled_from('"\\\x00\x1f\x7f\u00e9\U0001f600 '),
+    max_size=5,
+)
+entity_boxes = screen_boxes | st.builds(
+    BBox, st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 5), st.integers(0, 5)
+)
+
+
+@st.composite
+def written_entities(draw) -> Entity:
+    keys = draw(st.lists(free_texts, unique=True, max_size=3))
+    display_text = draw(st.none() | line_texts)
+    placement = None
+    if display_text is not None and draw(st.booleans()):
+        placement = Placement(draw(entity_boxes), draw(screen_object_lists))
+    return Entity(
+        draw(free_texts.filter(bool)),
+        tuple((key, draw(free_texts)) for key in keys),
+        display_text,
+        placement,
+    )
+
+
+@st.composite
+def written_datapoints(draw) -> list:
+    """Datapoints naming a few entities, each as the pooled object or an
+    equal copy of it."""
+    pool = draw(st.lists(written_entities(), min_size=1, max_size=4))
+    datapoints = []
+    for _ in range(draw(st.integers(1, 4))):
+        entities = tuple(
+            Entity(e.entity_type, e.properties, e.display_text, e.placement)
+            if draw(st.booleans()) else e
+            for e in draw(st.lists(st.sampled_from(pool), max_size=5))
+        )
+        truth = draw(st.sets(st.integers(1, len(entities)))) if entities else set()
+        kind = draw(st.sampled_from(["conversational", "synthetic"]))
+        if entities and all(e.placement for e in entities) and draw(st.booleans()):
+            kind = "onscreen"
+        screen = draw(st.none() | screen_object_lists)
+        datapoints.append(DataPoint(draw(line_texts), entities, truth, kind, screen))
+    return datapoints
+
+
+def dumped_lines(datapoints) -> str:
+    return "".join(
+        json.dumps(datapoint_to_record(dp), ensure_ascii=False) + "\n" for dp in datapoints
+    )
+
+
+class TestDatasetWriter:
+    @settings(max_examples=200)
+    @given(written_datapoints())
+    def test_lines_match_json_dumps(self, datapoints):
+        assert format_dataset(datapoints) == dumped_lines(datapoints)
+
+    def test_equal_placed_entities_written_as_held(self):
+        # Equal, with equal hashes, yet written differently: an entity's own
+        # box keeps the sign of a zero and an int as it is held.
+        first = Entity("url", display_text="a", placement=Placement(BBox(0.0, 1.0, 2.0, 3.0)))
+        second = Entity("url", display_text="a", placement=Placement(BBox(-0.0, 1, 2, 3)))
+        assert first == second and hash(first) == hash(second)
+        datapoints = [DataPoint("r", (first, second), kind="onscreen")] * 2
+        lines = format_dataset(datapoints)
+        assert lines == dumped_lines(datapoints)
+        assert '"box": [0.0, 1.0, 2.0, 3.0]' in lines and '"box": [-0.0, 1, 2, 3]' in lines
+
+    def test_texts_past_the_memo_bound(self, monkeypatch):
+        # Past MAX_MEMO distinct entities the writer starts over; every line
+        # stays the same.
+        import refkit.screen_model as screen_model
+
+        monkeypatch.setattr(screen_model, "MAX_MEMO", 2)
+        people = [Entity("person", (("name", f"p{i}"),)) for i in range(5)]
+        datapoints = [
+            DataPoint(f"call {i}", (people[i % 5], people[(i * 3) % 5]), {1}, "synthetic")
+            for i in range(12)
+        ]
+        assert format_dataset(datapoints) == dumped_lines(datapoints)
+        buffer = io.StringIO()
+        save_dataset(buffer, iter(datapoints))
+        assert buffer.getvalue() == dumped_lines(datapoints)
