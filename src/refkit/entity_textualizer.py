@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .screen_model import _LINE_BREAKS, MAX_MEMO, Entity
+from .screen_model import _LINE_BREAKS, MAX_MEMO, Entity, _reject_unknown_keys
 
 _TYPE_JOIN = " | "
 
@@ -224,18 +224,10 @@ _RULE_KEYS = ("type", "alias", "field_separator", "fields")
 _FIELD_KEYS = ("key", "labeled")
 
 
-def _reject_unknown_keys(mapping: dict, accepted: tuple[str, ...], what: str) -> None:
-    """RuleError for the first key of mapping not in accepted, so that a
-    misspelled key is not dropped without a word."""
-    for key in mapping:
-        if key not in accepted:
-            raise RuleError(f"{what} has unknown key {key!r} (accepted: {', '.join(accepted)})")
-
-
 def _rule_from_mapping(entry: object) -> TextualizationRule:
     if not isinstance(entry, dict):
         raise RuleError(f"rule entry must be a mapping, got {entry!r}")
-    _reject_unknown_keys(entry, _RULE_KEYS, "rule")
+    _reject_unknown_keys(entry, _RULE_KEYS, "rule", RuleError)
     if "type" not in entry:
         raise RuleError(f"rule entry missing 'type': {entry!r}")
     fields = entry.get("fields", [])
@@ -246,7 +238,7 @@ def _rule_from_mapping(entry: object) -> TextualizationRule:
         if isinstance(field, str):
             specs.append(FieldSpec(field))
         elif isinstance(field, dict) and "key" in field:
-            _reject_unknown_keys(field, _FIELD_KEYS, "field mapping")
+            _reject_unknown_keys(field, _FIELD_KEYS, "field mapping", RuleError)
             specs.append(FieldSpec(field["key"], field.get("labeled", False)))
         else:
             raise RuleError(f"field must be a key or a {{key, labeled}} mapping, got {field!r}")
@@ -282,7 +274,7 @@ def load_rules(path: str, base: RuleRegistry | None = None) -> RuleRegistry:
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise RuleError(f"{path}: {exc}") from exc
     if isinstance(data, dict) and "rules" in data:
-        _reject_unknown_keys(data, ("rules",), f"{path}: top-level mapping")
+        _reject_unknown_keys(data, ("rules",), f"{path}: top-level mapping", RuleError)
         data = data["rules"]
     elif isinstance(data, dict):
         data = [data]

@@ -19,8 +19,8 @@ from typing import Iterable, Protocol, Sequence
 
 from .entity_textualizer import RuleRegistry
 from .layout_encoder import EncoderConfig
-from .prompt_builder import Prompt, options_to_original, prompt_for_datapoint
-from .screen_model import _NUMBER_TYPES, MAX_MEMO, DataPoint
+from .prompt_builder import Prompt, prompt_for_datapoint
+from .screen_model import MAX_MEMO, DataPoint
 
 # An integer token: its sign, and its digits without leading zeros ("0" for zero).
 # Digits are ASCII only; int() would also read other scripts' decimal digits.
@@ -30,6 +30,9 @@ _KIND_COLUMNS = (("Conv", "conversational"), ("Synth", "synthetic"), ("Screen", 
 
 # A run fails when more than this share of its items could not be resolved.
 MAX_FAILURE_RATE = 0.10
+
+# The chance that OracleResolver repeats one of its options.
+DUPLICATE_RATE = 0.5
 
 
 class ResolverError(RuntimeError):
@@ -113,33 +116,28 @@ class ConstantResolver:
 class OracleResolver:
     """Answers from the datapoint's ground truth, in prompt coordinates.
 
-    The indices come back shuffled and occasionally with one repeated, to
-    exercise the order-free scoring and dedup paths. Output depends only on
-    (seed, datapoint), never on call order, so the resolver behaves
-    statelessly under any evaluation schedule. The seeded draws are made
-    once per distinct (request key, option count, duplicate_rate) and kept
-    in an lru_cache of up to MAX_MEMO entries.
+    The indices come back shuffled and, with chance DUPLICATE_RATE, with one
+    repeated, to exercise the order-free scoring and dedup paths. Output
+    depends only on (seed, datapoint), never on call order, so the resolver
+    behaves statelessly under any evaluation schedule. The seeded draws are
+    made once per distinct (request key, option count) and kept in an
+    lru_cache of up to MAX_MEMO entries.
 
-    seed must be an int and duplicate_rate an int or float in [0, 1]; a
-    bool, NaN or anything else is a ValueError.
+    seed must be an int; a bool or anything else is a ValueError.
     """
 
-    def __init__(self, seed: int = 0, duplicate_rate: float = 0.5):
-        # Exact types, as BBox checks its fields: a bool is not a number
-        # here. Written so that NaN, which compares false both ways, fails too.
+    def __init__(self, seed: int = 0):
+        # An exact type, as BBox checks its fields: a bool is not a number here.
         if type(seed) is not int:
             raise ValueError(f"seed must be an int, got {seed!r}")
-        if type(duplicate_rate) not in _NUMBER_TYPES or not 0 <= duplicate_rate <= 1:
-            raise ValueError(f"duplicate_rate must be a number in [0, 1], got {duplicate_rate!r}")
         self.seed = seed
-        self.duplicate_rate = duplicate_rate
 
     def resolve(self, prompt: Prompt, datapoint: DataPoint) -> str:
         if not datapoint.ground_truth:
             return "0"
         key = zlib.crc32(datapoint.request.encode("utf-8")) ^ (self.seed * 0x9E3779B1)
-        options = sorted(prompt.to_option(i) for i in datapoint.ground_truth)
-        order, repeated = _oracle_draw(key, len(options), self.duplicate_rate)
+        options = sorted(map(prompt.to_option, datapoint.ground_truth))
+        order, repeated = _oracle_draw(key, len(options))
         answer = [options[i] for i in order]
         if repeated is not None:
             answer.append(answer[repeated])
@@ -147,18 +145,17 @@ class OracleResolver:
 
 
 @functools.lru_cache(maxsize=MAX_MEMO)
-def _oracle_draw(key: int, n: int, duplicate_rate: float) -> tuple[tuple[int, ...], int | None]:
+def _oracle_draw(key: int, n: int) -> tuple[tuple[int, ...], int | None]:
     """random.Random(key)'s shuffle of n option positions, then the shuffled
     position it repeats, or None. The shuffle and choice() never read the
     values they move or pick, so these positions reproduce the draws made on
-    the options themselves. Equal rates draw alike, so the cache may take 1
-    for 1.0.
+    the options themselves.
     """
     rng = random.Random(key)
     order = list(range(n))
     rng.shuffle(order)
     repeated = None
-    if duplicate_rate and rng.random() < duplicate_rate:
+    if rng.random() < DUPLICATE_RATE:
         repeated = rng.choice(range(n))
     return tuple(order), repeated
 
@@ -289,6 +286,9 @@ def evaluate_dataset(
 ) -> AccuracyReport:
     """Prompt, resolve, parse, and score every datapoint.
 
+    A prediction is scored in the option numbers its prompt showed, against
+    the ground truth mapped through Prompt.to_option.
+
     Transport failures mark the item incorrect and the run continues; the
     run itself fails only when more than MAX_FAILURE_RATE of items could not
     be resolved. With max_workers > 1 resolver calls fan out over a thread
@@ -325,13 +325,7 @@ def evaluate_dataset(
         except ResolverError:
             return datapoint.kind, "failed"
         prediction = parse_prediction(raw, len(datapoint.entities))
-        if prediction.valid:
-            prediction = Prediction(
-                options_to_original(prediction.indices, prompt.index_map),
-                prediction.raw,
-                True,
-            )
-        if score(prediction, datapoint.ground_truth):
+        if score(prediction, map(prompt.to_option, datapoint.ground_truth)):
             return datapoint.kind, "correct"
         return datapoint.kind, "wrong" if prediction.valid else "invalid"
 

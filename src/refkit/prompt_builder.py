@@ -4,15 +4,15 @@ Conversational prompts enumerate textualized entities as numbered options
 (with "0. None" for the no-answer case) in a seeded shuffle; on-screen
 prompts embed the rendered layout parse, whose injected markers already
 carry the option numbers. Every prompt records the mapping from option
-number back to the original entity position so predictions and ground
-truth can be translated either way.
+number to original entity position; `Prompt.to_option` translates ground
+truth into the option numbers a resolver answers in.
 """
 from __future__ import annotations
 
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .entity_textualizer import RuleRegistry, textualize_entity
 from .layout_encoder import EncoderConfig, OnscreenParse, encode_screen
@@ -71,17 +71,6 @@ def _permutation(seed, n: int) -> tuple[int, ...]:
     order = list(range(1, n + 1))
     random.Random(seed).shuffle(order)
     return tuple(order)
-
-
-def options_to_original(options: Iterable[int], index_map: Sequence[int]) -> frozenset[int]:
-    """Map prompt option numbers back to original positions; 0 passes through."""
-    result = set()
-    for option in options:
-        if option == 0:
-            result.add(0)
-        else:
-            result.add(index_map[option - 1])
-    return frozenset(result)
 
 
 def _prompt_text(request: str, body: Sequence[str]) -> str:

@@ -440,7 +440,28 @@ def median(values: Iterable[float]) -> float:
     return (ordered[middle - 1] + ordered[middle]) / 2
 
 
+def _reject_unknown_keys(
+    mapping: dict, accepted: tuple[str, ...], what: str, error: type[ValueError]
+) -> None:
+    """error, naming what and the first key of mapping not in accepted, so
+    that a misspelled key is not dropped without a word. The codec, template
+    files and rules files all check their mappings with it."""
+    if frozenset(accepted).issuperset(mapping):
+        return
+    key = next(key for key in mapping if key not in accepted)
+    raise error(f"{what} has unknown key {key!r} (accepted: {', '.join(accepted)})")
+
+
 # --- JSONL dataset codec ---------------------------------------------------
+
+# The keys each JSON object of a record may hold, in the order they are
+# written; the sets are checked first, inline, as every object is decoded.
+_RECORD_KEYS = ("request", "kind", "entities", "screen", "ground_truth")
+_ENTITY_KEYS = ("type", "properties", "display_text", "box", "surrounding")
+_OBJECT_KEYS = ("text", "box")
+_RECORD_KEY_SET = frozenset(_RECORD_KEYS)
+_ENTITY_KEY_SET = frozenset(_ENTITY_KEYS)
+
 
 def _expect(value: object, field: str) -> list:
     """value itself when it is a JSON array, else ValueError."""
@@ -502,6 +523,8 @@ def _objects_from_json(value: object, field: str) -> Screen:
     for entry in _expect(value, field):
         if not isinstance(entry, dict):
             raise ValueError(f"screen object must be an object, got {entry!r}")
+        if len(entry) != 2:  # two keys, both required, hold no unknown one
+            _reject_unknown_keys(entry, _OBJECT_KEYS, "screen object", ValueError)
         text = entry["text"]
         boxes.append(_box_fields(entry["box"]))
         _check_screen_text(text)
@@ -532,6 +555,8 @@ def _entity_from_json(value: object, shared: dict) -> Entity:
     """
     if not isinstance(value, dict):
         raise ValueError(f"entity must be an object, got {value!r}")
+    if not _ENTITY_KEY_SET.issuperset(value):
+        _reject_unknown_keys(value, _ENTITY_KEYS, "entity", ValueError)
     placement = key = None
     if "box" in value:
         placement = Placement(
@@ -578,6 +603,8 @@ def datapoint_from_record(record: object, shared: dict) -> DataPoint:
     """The datapoint a decoded record holds; `shared` as in _entity_from_json."""
     if not isinstance(record, dict):
         raise ValueError(f"record must be an object, got {record!r}")
+    if not _RECORD_KEY_SET.issuperset(record):
+        _reject_unknown_keys(record, _RECORD_KEYS, "record", ValueError)
     for key in ("request", "kind", "entities", "ground_truth"):
         if key not in record:
             raise ValueError(f"record missing required field {key!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .screen_model import DataPoint, Entity
+from .screen_model import DataPoint, Entity, _reject_unknown_keys
 from .value_bank import sample_entity
 
 PLACEHOLDER_RE = re.compile(r"\[([^\[\]]+)\]")
@@ -196,13 +196,7 @@ _TEMPLATE_KEYS = ("id", "variations", "slots", "ground_truth_types")
 def _pair_from_mapping(entry: object, fallback_id: str) -> tuple[LanguageTemplate, SlotList]:
     if not isinstance(entry, dict):
         raise TemplateError(f"template entry must be a mapping, got {entry!r}")
-    for key in entry:
-        # A misspelled section would otherwise be dropped without a word.
-        if key not in _TEMPLATE_KEYS:
-            raise TemplateError(
-                f"template entry has unknown key {key!r} "
-                f"(accepted: {', '.join(_TEMPLATE_KEYS)})"
-            )
+    _reject_unknown_keys(entry, _TEMPLATE_KEYS, "template entry", TemplateError)
     try:
         variations = entry["variations"]
         slot_values = entry.get("slots", {})

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 import re
 import threading
@@ -11,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from refkit import (
+    BBox,
     ConstantResolver,
     DataPoint,
     EncoderConfig,
@@ -18,6 +18,7 @@ from refkit import (
     EvaluationError,
     load_dataset,
     OracleResolver,
+    Placement,
     Prediction,
     RemoteResolver,
     ResolverError,
@@ -25,9 +26,10 @@ from refkit import (
     generate_datapoints,
     parse_prediction,
     prompt_for_datapoint,
+    ScreenObject,
     score,
 )
-from refkit.prompt_builder import options_to_original
+from refkit.eval_harness import DUPLICATE_RATE, item_seed
 from refkit.synth_datagen import LanguageTemplate, SlotList
 from refkit.value_bank import pool_entities
 
@@ -157,8 +159,8 @@ class TestOracleResolver:
             prompt = prompt_for_datapoint(dp, seed=11)
             raw = oracle.resolve(prompt, dp)
             prediction = parse_prediction(raw, len(dp.entities))
-            mapped = options_to_original(prediction.indices, prompt.index_map)
-            assert mapped == dp.ground_truth
+            assert prediction.valid
+            assert prediction.indices == {prompt.to_option(i) for i in dp.ground_truth}
 
     def test_none_case_emits_zero(self):
         dp = rainbow_datapoint()
@@ -175,32 +177,30 @@ class TestOracleResolver:
         assert oracle.resolve(prompt, dp) == first
 
     def test_sometimes_duplicates(self):
-        oracle = OracleResolver(seed=0, duplicate_rate=1.0)
         dp = alarms_datapoint()
         prompt = prompt_for_datapoint(dp, seed=4)
-        raw = oracle.resolve(prompt, dp)
-        tokens = [t.strip() for t in raw.split(",")]
-        assert len(tokens) == 2 and tokens[0] == tokens[1]
+        option = str(prompt.to_option(3))
+        answers = {OracleResolver(seed=seed).resolve(prompt, dp) for seed in range(50)}
+        assert answers == {option, f"{option}, {option}"}
 
     # Several ground truths share each request, so a draw kept for one
     # option count and handed out for another shows.
     @settings(max_examples=200)
     @given(
         seed=st.integers(-(2**40), 2**40),
-        rate=st.sampled_from([0, 0.0, 1, 1.0, 0.5]) | st.floats(0, 1),
         request=st.sampled_from(["call a", "call b"]) | st.text("ab é\"", max_size=6),
         prompt_seed=st.none() | st.integers(0, 99),
         n=st.integers(1, 12),
         data=st.data(),
     )
-    def test_matches_drawing_on_the_options(self, seed, rate, request, prompt_seed, n, data):
+    def test_matches_drawing_on_the_options(self, seed, request, prompt_seed, n, data):
         entities = tuple(Entity("person", (("name", f"p{i}"),)) for i in range(n))
-        oracle = OracleResolver(seed=seed, duplicate_rate=rate)
+        oracle = OracleResolver(seed=seed)
         truths = data.draw(st.lists(st.sets(st.integers(1, n)), min_size=1, max_size=4))
         for truth in truths:
             dp = DataPoint(request, entities, frozenset(truth), "synthetic")
             prompt = prompt_for_datapoint(dp, seed=prompt_seed)
-            expected = reference_oracle_answer(seed, rate, prompt, dp)
+            expected = reference_oracle_answer(seed, prompt, dp)
             assert oracle.resolve(prompt, dp) == expected
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, "1", True, None])
@@ -208,22 +208,8 @@ class TestOracleResolver:
         with pytest.raises(ValueError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
             OracleResolver(seed=seed)
 
-    @pytest.mark.parametrize(
-        "rate", [math.nan, 1.5, -0.25, math.inf, "0.5", True, False, None, 2]
-    )
-    def test_duplicate_rate_must_be_a_number_in_unit_interval(self, rate):
-        with pytest.raises(
-            ValueError,
-            match=rf"^duplicate_rate must be a number in \[0, 1\], got {re.escape(repr(rate))}$",
-        ):
-            OracleResolver(duplicate_rate=rate)
 
-    @pytest.mark.parametrize("rate", [0, 1, 0.0, -0.0, 1.0, 0.25])
-    def test_duplicate_rate_bounds_included(self, rate):
-        assert OracleResolver(seed=-(2**80), duplicate_rate=rate).duplicate_rate == rate
-
-
-def reference_oracle_answer(seed, duplicate_rate, prompt, datapoint) -> str:
+def reference_oracle_answer(seed, prompt, datapoint) -> str:
     """OracleResolver.resolve as it once drew: on the options themselves."""
     if not datapoint.ground_truth:
         return "0"
@@ -231,7 +217,7 @@ def reference_oracle_answer(seed, duplicate_rate, prompt, datapoint) -> str:
     rng = random.Random(key)
     options = sorted(prompt.to_option(i) for i in datapoint.ground_truth)
     rng.shuffle(options)
-    if duplicate_rate and rng.random() < duplicate_rate:
+    if rng.random() < DUPLICATE_RATE:
         options.append(rng.choice(options))
     return ", ".join(str(option) for option in options)
 
@@ -368,6 +354,59 @@ class TestEvaluateDataset:
                 max_workers=max_workers,
             )
         assert resolver.calls == 0
+
+
+@st.composite
+def scored_items(draw):
+    """A datapoint, conversational or on-screen, an evaluation seed, and a
+    raw answer: the right options, the right positions (which a shuffle
+    moves), or any integers, with repeats, 0, negatives and numbers past
+    the option count."""
+    n = draw(st.integers(1, 8))
+    truth = frozenset(draw(st.sets(st.integers(1, n))))
+    request = draw(st.sampled_from(["call it", "open that"]) | st.text("ab é", max_size=5))
+    if draw(st.booleans()):
+        entities = tuple(Entity("person", (("name", f"p{i}"),)) for i in range(n))
+        kind = draw(st.sampled_from(["conversational", "synthetic"]))
+        datapoint = DataPoint(request, entities, truth, kind)
+    else:
+        entities = tuple(
+            Entity("url", (("value", f"u{i}"),), f"u{i}", Placement(BBox(0, 3 * i, 10, 2)))
+            for i in range(n)
+        )
+        screen = (ScreenObject("header", BBox(0, -3, 10, 2)),)
+        datapoint = DataPoint(request, entities, truth, "onscreen", screen)
+    seed = draw(st.integers(-(2**40), 2**40))
+    prompt = prompt_for_datapoint(datapoint, seed=item_seed(seed, datapoint))
+    options = sorted(map(prompt.to_option, truth)) or [0]
+    tokens = draw(
+        st.permutations(options)
+        | st.permutations(sorted(truth) or [0])
+        | st.lists(st.integers(-2, n + 2), max_size=5)
+    )
+    tokens = tokens + draw(st.lists(st.sampled_from(tokens), max_size=2)) if tokens else tokens
+    raw = draw(st.sampled_from([", ", " ", "\n"])).join(map(str, tokens))
+    return datapoint, seed, raw
+
+
+def reference_outcome(datapoint, seed, raw) -> tuple[int, int]:
+    """(correct, invalid) as scored in entity positions: each option of a
+    valid prediction mapped back through the prompt's index map."""
+    prompt = prompt_for_datapoint(datapoint, seed=item_seed(seed, datapoint))
+    prediction = parse_prediction(raw, len(datapoint.entities))
+    if not prediction.valid:
+        return 0, 1
+    positions = {prompt.index_map[o - 1] if o else 0 for o in prediction.indices}
+    return int(positions == (datapoint.ground_truth or {0})), 0
+
+
+class TestScoringInOptionNumbers:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(scored_items())
+    def test_same_outcome_as_scoring_in_entity_positions(self, item):
+        datapoint, seed, raw = item
+        report = evaluate_dataset([datapoint], ConstantResolver(raw), seed=seed)
+        assert (report.correct, report.invalid) == reference_outcome(datapoint, seed, raw)
 
 
 class TestReportShape:

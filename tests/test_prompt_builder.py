@@ -18,9 +18,9 @@ from refkit import (
     encode_screen,
     prompt_for_datapoint,
     shuffle_entities,
+    textualize_entity,
 )
 from refkit.entity_textualizer import DEFAULT_RULES, FieldSpec, RuleRegistry, TextualizationRule
-from refkit.prompt_builder import options_to_original
 
 from conftest import REALTOR_PARSE_TEXT
 
@@ -91,11 +91,13 @@ class TestShuffle:
         assert shuffled == tuple(entities[i - 1] for i in index_map)
 
     def test_ground_truth_remap_round_trip(self):
+        # The option to_option names for an entity is the line showing it.
         entities = make_entities(7)
         prompt = build_conversational_prompt("call them", entities, seed=13)
-        gt = frozenset({2, 5})
-        options = {prompt.to_option(i) for i in gt}
-        assert options_to_original(options, prompt.index_map) == gt
+        lines = prompt.text.split("\n")
+        for original in (2, 5):
+            option = prompt.to_option(original)
+            assert f"{option}. {textualize_entity(entities[original - 1])}" in lines
 
     # Several sizes per seed, so an order kept for one size and handed out
     # for another shows.
@@ -135,11 +137,19 @@ class TestShuffle:
 
     @given(st.integers(0, 10_000), st.integers(1, 12))
     def test_remap_round_trip_property(self, seed, n):
-        rng = random.Random(seed)
-        prompt = build_conversational_prompt("call them", make_entities(n), seed=seed)
-        gt = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
-        options = {prompt.to_option(i) for i in gt}
-        assert options_to_original(options, prompt.index_map) == gt
+        # to_option is a bijection on 0..n that fixes 0, so a set of
+        # positions and its set of options are equal exactly when their
+        # sources are.
+        entities = make_entities(n)
+        prompt = build_conversational_prompt("call them", entities, seed=seed)
+        options = [prompt.to_option(original) for original in range(n + 1)]
+        assert options[0] == 0
+        assert sorted(options) == list(range(n + 1))
+        lines = prompt.text.split("\n")
+        for original, option in enumerate(options[1:], 1):
+            assert lines[4 + option] == f"{option}. {textualize_entity(entities[original - 1])}"
+        with pytest.raises(ValueError, match=rf"^original index {n + 1} not in prompt$"):
+            prompt.to_option(n + 1)
 
 
 class TestConversationalPrompt:

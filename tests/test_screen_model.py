@@ -832,6 +832,53 @@ class TestDatasetCodec:
         with pytest.raises(DatasetError, match=r"^line 2: entity type must be a string, got 5$"):
             parse_dataset(good_then_bad(("entities", 0), dict(entity, type=5)))
 
+    @pytest.mark.parametrize(
+        "kind, path, key, misspelled, message",
+        [
+            ("onscreen", (), "screen", "scren",
+             "record has unknown key 'scren' "
+             "(accepted: request, kind, entities, screen, ground_truth)"),
+            ("onscreen", ("entities", 0), "surrounding", "surounding",
+             "entity has unknown key 'surounding' "
+             "(accepted: type, properties, display_text, box, surrounding)"),
+            ("conversational", ("entities", 0), "display_text", "dispaly_text",
+             "entity has unknown key 'dispaly_text' "
+             "(accepted: type, properties, display_text, box, surrounding)"),
+            ("onscreen", ("screen", 0), "box", "bxo",
+             "screen object has unknown key 'bxo' (accepted: text, box)"),
+        ],
+        ids=["record-scren", "entity-surounding", "entity-dispaly_text", "object-bxo"],
+    )
+    def test_misspelled_key_rejected(self, kind, path, key, misspelled, message):
+        # Each of these once loaded with the field left at its default.
+        good = onscreen_record()
+        if kind == "conversational":
+            good["kind"] = "conversational"
+            del good["screen"], good["entities"][0]["box"], good["entities"][0]["surrounding"]
+        bad = json.loads(json.dumps(good))
+        target = bad
+        for step in path:
+            target = target[step]
+        target[misspelled] = target[key]
+        if path[:1] != ("screen",):  # a screen object's box is also kept, so it has 3 keys
+            del target[key]
+        text = json.dumps(good) + "\n" + json.dumps(bad)
+        with pytest.raises(DatasetError, match=f"^line 2: {re.escape(message)}$"):
+            parse_dataset(text)
+
+    def test_unknown_key_checked_before_missing_fields(self):
+        record = {"request": "x", "kind": "conversational", "entities": [], "extra": 1}
+        with pytest.raises(DatasetError, match=r"^line 1: record has unknown key 'extra'"):
+            parse_dataset(json.dumps(record))
+        # A screen object of two keys holds no unknown key without missing one.
+        with pytest.raises(DatasetError, match=r"^line 2: 'box'$"):
+            parse_dataset(good_then_bad(("screen", 0), {"text": "a", "bx": [0, 0, 1, 1]}))
+
+    def test_entity_with_extra_key_not_shared_with_its_twin(self):
+        person = {"type": "person", "properties": [["name", "Ana"]]}
+        with pytest.raises(DatasetError, match=r"^line 2: entity has unknown key 'note'"):
+            parse_dataset(conversational_lines([person], [dict(person, note="x")]))
+
     def test_record_shape(self):
         record = datapoint_to_record(realtor_datapoint())
         assert set(record) == {"request", "kind", "entities", "screen", "ground_truth"}
