@@ -17,21 +17,25 @@ axis gaps are within eps. This is exact: the graph, so every cluster, is
 what a scan over all objects gives. n objects with about m neighbours each
 cost about O(n * m) tests, O(n^2) when every box spans the scene.
 
-encode_clusters numbers the scene's distinct objects once and builds the
-graph over all of them the first time an eps value is used; one labeller
-walks it for each entity in the entity's own order, skipping objects
-outside its set, with no restricted copy. Only that visiting order
-depends on object order, so each result is what clustering the entity's
-objects on their own gives. It reads the screen and each surrounding, every
-one a Screen, through `object_columns` and works on object numbers, texts
-and box tuples, so no Screen is unpacked into ScreenObjects.
+encode_clusters numbers the scene's distinct objects once, the screen's
+first, and builds the graph over all of them the first time an eps value is
+used. At min_pts 1, the default, DBSCAN's clusters are the connected
+components of the graph, so each graph's components over the screen are
+found once; an entity's clusters are those, the ones its surrounding
+touches moved ahead, with its private (off-screen) objects folded in by a
+union-find over their edges. At min_pts > 1 one labeller walks the graph
+for each entity in its own order, skipping objects outside its set. Either
+way each result is what clustering the entity's objects on their own gives.
+It reads the screen and each surrounding, every one a Screen, through
+`object_columns` and works on object numbers, texts and box tuples, so no
+Screen is unpacked into ScreenObjects.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Iterable, Sequence
 
 from .screen_model import (
@@ -170,6 +174,7 @@ def _label_clusters(
     """DBSCAN labelling of the objects numbered n in order over their eps
     graph, a list indexed by object number. Returns the members of clusters
     0, 1, ... in turn and then the noise (maybe none), each in `order`.
+    Used at min_pts > 1; at 1 the components below give the same clusters.
 
     graph[n] holds the n' within eps of n, n itself included, in any order;
     objects not in `order` are neither labelled nor counted as neighbours.
@@ -211,6 +216,86 @@ def _label_clusters(
     return members
 
 
+def _components(
+    graph: Sequence[Sequence[int]], count: int
+) -> tuple[list[int], list[list[int]]]:
+    """The connected components of the subgraph of graph over the objects
+    numbered 0..count-1: each object's label, 0, 1, ... in order of each
+    component's lowest number (~n, a negative label of its own, for an
+    object n >= count), and the members of each component, in order.
+    """
+    labels: list = [None] * count + [~n for n in range(count, len(graph))]
+    groups: list[list[int]] = []
+    for n in range(count):
+        if labels[n] is not None:
+            continue
+        label = len(groups)
+        labels[n] = label
+        members = [n]
+        stack = [n]
+        while stack:
+            for m in graph[stack.pop()]:
+                if labels[m] is None:
+                    labels[m] = label
+                    members.append(m)
+                    stack.append(m)
+        members.sort()
+        groups.append(members)
+    return labels, groups
+
+
+def _entity_clusters(
+    graph: Sequence[Sequence[int]],
+    labels: list[int],
+    groups: list[list[int]],
+    first: list[int],
+    private: set[int],
+) -> list[list[int]]:
+    """The clusters _label_clusters(graph, order, 1) gives, less its empty
+    noise, for order = first, then the other screen objects (0..count-1,
+    whose components labels and groups are) in turn.
+
+    A union-find over the edges of private, first's off-screen objects,
+    joins the components they bridge; an edge to an object outside the set
+    counts for nothing. The clusters first touches lead, in order of first
+    appearance, each listing first's objects and then its others in order;
+    the other components follow as they are.
+    """
+    parent: dict[int, int] = {}
+
+    def find(key: int) -> int:
+        while key in parent:
+            up = parent[key]
+            parent[key] = parent.get(up, up)  # path splitting
+            key = up
+        return key
+
+    for p in private:
+        root = find(labels[p])
+        for m in graph[p]:
+            if labels[m] >= 0 or m in private:
+                key = find(labels[m])
+                if key != root:
+                    parent[key] = root
+    touched: dict[int, list[int]] = {}
+    for n in first:
+        touched.setdefault(find(labels[n]), []).append(n)
+    # Every merge takes in a private object, so its root is touched.
+    joined: dict[int, list[int]] = {root: [root] for root in touched if root >= 0}
+    for label in parent:
+        if label >= 0:
+            joined.setdefault(find(label), []).append(label)
+    taken = set(first)
+    for root, members in touched.items():
+        rest = sorted(chain.from_iterable(map(groups.__getitem__, joined.get(root, ()))))
+        members += filterfalse(taken.__contains__, rest)
+    clusters = list(touched.values())
+    clusters += [
+        group for label, group in enumerate(groups) if label not in touched and label not in parent
+    ]
+    return clusters
+
+
 def dbscan_cluster(
     objects: Sequence[ScreenObject], eps: float, min_pts: int = 1
 ) -> list[Cluster]:
@@ -220,7 +305,8 @@ def dbscan_cluster(
     deterministic for a given input sequence. Real clusters get ids 0..k-1
     in discovery order; noise objects, if any, are returned last under the
     reserved id NOISE_CLUSTER_ID. A point's eps-neighborhood includes itself,
-    so min_pts=1 makes every point a core point.
+    so min_pts=1 makes every point a core point: the clusters are then the
+    connected components of the eps graph, found in one walk over it.
 
     Region queries are answered from a uniform spatial grid (see
     _neighbor_lists) and are exact: the same neighbours as a scan over all
@@ -232,7 +318,11 @@ def dbscan_cluster(
     if not objects:
         return []
     graph = _neighbor_lists([obj.box for obj in objects], eps)
-    *groups, noise = _label_clusters(graph, range(len(objects)), min_pts)
+    if min_pts == 1:
+        _, groups = _components(graph, len(objects))
+        noise = []
+    else:
+        *groups, noise = _label_clusters(graph, range(len(objects)), min_pts)
     clusters = [
         Cluster(cid, tuple(map(objects.__getitem__, group))) for cid, group in enumerate(groups)
     ]
@@ -296,13 +386,18 @@ def encode_clusters(
     the threshold from the entity's object set (median object height).
 
     The eps-neighbourhood graph is built the first time an eps value is
-    used, over every object of the scene, and each entity's objects are
-    labelled over it in the entity's own order, skipping all others. A
-    neighbourhood restricted to a subset is the subset's own neighbourhood,
-    so every encoding is exactly what dbscan_cluster over the entity's own
-    object set gives. With one eps for all entities, as any explicit eps
-    gives, the graph is just the union of their object sets; it holds more
-    only when eps=None and private objects give entities different medians.
+    used, over every object of the scene. A neighbourhood restricted to a
+    subset is the subset's own neighbourhood, so every encoding is exactly
+    what dbscan_cluster over the entity's own object set gives. With one eps
+    for all entities, as any explicit eps gives, the graph is just the union
+    of their object sets; it holds more only when eps=None and private
+    objects give entities different medians.
+
+    Computed once per call: the numbering, the screen's median height (the
+    derived eps of every entity whose surrounding lies on the screen), and
+    per eps the graph and, at min_pts 1, its components over the screen.
+    Per entity remains what depends on its own objects and order (see
+    _entity_clusters); at min_pts > 1, labelling its objects in its order.
     """
     # The scene's distinct objects, each numbered once: numbers maps an
     # object's (text, box) to its number, and texts and boxes hold its fields.
@@ -319,29 +414,49 @@ def encode_clusters(
             boxes.append(key[1])
         return list(map(numbers.__getitem__, keys))
 
-    screen_numbers = numbered(screen)
+    # The screen is numbered first, so its distinct objects are 0..count-1
+    # in screen order.
+    numbered(screen)
+    count = len(texts)
     # Every surrounding is numbered before the first graph is built, so each
     # graph covers every object of the scene.
     surroundings = [
         None if entity.placement is None else numbered(entity.placement.surrounding)
         for entity in entities
     ]
-    graphs: dict[float, list[list[int]]] = {}
+    if eps is None:
+        # The derived eps of every entity whose surrounding lies on the screen.
+        screen_heights = sorted(box[3] for box in boxes[:count])
+        screen_eps = median(screen_heights) or 1.0
+    # Per eps: the graph and, at min_pts 1, the screen's components in it.
+    graphs: dict[float, tuple] = {}
     encodings = []
     for index, (entity, surrounding) in enumerate(zip(entities, surroundings), 1):
         if surrounding is None:
             raise ValueError(f"entity {index} has no placement")
-        # Its surrounding objects, then the screen's, without repeats.
-        own = list(dict.fromkeys(surrounding + screen_numbers))
+        first = list(dict.fromkeys(surrounding))
+        private = {number for number in first if number >= count}
         member_texts: Iterable[str] = ()
-        if own:
+        if first or count:
             entity_eps = eps
-            if eps is None:
-                entity_eps = median(boxes[number][3] for number in own) or 1.0
+            if eps is None and private:
+                # Sorting the screen's sorted heights again is linear.
+                heights = chain(screen_heights, (boxes[number][3] for number in private))
+                entity_eps = median(heights) or 1.0
+            elif eps is None:
+                entity_eps = screen_eps
             _check_parameters(entity_eps, min_pts)
             if entity_eps not in graphs:
-                graphs[entity_eps] = _neighbor_lists(boxes, entity_eps)
-            *groups, _ = _label_clusters(graphs[entity_eps], own, min_pts)
+                graph = _neighbor_lists(boxes, entity_eps)
+                components = _components(graph, count) if min_pts == 1 else None
+                graphs[entity_eps] = graph, components
+            graph, components = graphs[entity_eps]
+            if components is None:
+                # Its surrounding objects, then the screen's, without repeats.
+                own = list(dict.fromkeys(chain(first, range(count))))
+                *groups, _ = _label_clusters(graph, own, min_pts)
+            else:
+                groups = _entity_clusters(graph, *components, first, private)
             position = _nearest(
                 entity.placement.box, (map(boxes.__getitem__, group) for group in groups)
             )

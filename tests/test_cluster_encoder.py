@@ -402,6 +402,44 @@ class TestDbscan:
         assert len(dbscan_cluster(objects, int(sys.float_info.max))) == 1
 
 
+@st.composite
+def labelling_cases(draw):
+    """A symmetric graph whose lists hold their own node, in any order; a
+    screen of nodes 0..count-1; an entity's first objects, some on the
+    screen and some private (off it), in any order. Other nodes are outside
+    every set.
+    """
+    n = draw(st.integers(1, 14))
+    graph = [{i} for i in range(n)]
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        graph[a].add(b)
+        graph[b].add(a)
+    graph = [draw(st.permutations(sorted(near))) for near in graph]
+    count = draw(st.integers(0, n))
+    first = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return graph, count, first
+
+
+class TestComponents:
+    @settings(max_examples=500)
+    @given(labelling_cases())
+    # Private 1 and 2 meet only through 3, which is outside the set.
+    @example(([[0], [1, 3], [2, 3], [3, 1, 2]], 1, [1, 2]))
+    # Private 3 bridges screen components {0, 2} and {1}, which interleave.
+    @example(([[0, 2], [1, 3], [2, 0], [3, 1, 2]], 3, [3]))
+    def test_component_path_matches_the_general_labeller(self, case):
+        graph, count, first = case
+        labels, groups = cluster_encoder._components(graph, count)
+        private = {number for number in first if number >= count}
+        order = first + [number for number in range(count) if number not in first]
+        expected = cluster_encoder._label_clusters(graph, order, 1)
+        assert expected[-1] == []  # at min_pts 1 nothing is noise
+        assert cluster_encoder._entity_clusters(graph, labels, groups, first, private) == (
+            expected[:-1]
+        )
+        assert groups == cluster_encoder._label_clusters(graph, range(count), 1)[:-1]
+
+
 def place_entity(text: str, box: BBox, type_name: str = "general text") -> Entity:
     return Entity(type_name, (), display_text=text, placement=Placement(box))
 
@@ -692,6 +730,54 @@ class TestEncoding:
             assert encode_clusters(datapoint.screen, datapoint.entities) == (
                 per_entity_encodings(datapoint.screen, datapoint.entities)
             )
+
+    def test_private_neighbours_and_medians(self):
+        # Two screen groups 30 apart; eps=None derives eps 10 from heights
+        # of 10 unless private objects move the median.
+        screen = [ScreenObject("alpha", BBox(0, 0, 10, 10)),
+                  ScreenObject("able", BBox(0, 15, 10, 10)),
+                  ScreenObject("bravo", BBox(40, 0, 10, 10)),
+                  ScreenObject("baker", BBox(40, 15, 10, 10))]
+        link = ScreenObject("link", BBox(20, 0, 10, 10))  # 10 from both groups
+        tall = tuple(ScreenObject(f"tall {k}", BBox(200 + 50 * k, 200, 10, 30)) for k in range(5))
+        near_a, near_b = BBox(0, 30, 10, 10), BBox(40, 30, 10, 10)
+        entities = [
+            # On-screen surrounding: the screen's two components.
+            Entity("general text", (), "first", Placement(near_a, (screen[2],))),
+            # A private object bridges them, in this entity's set alone.
+            Entity("general text", (), "second", Placement(near_a, (link, screen[3]))),
+            # Private objects of height 30 make the median 30, which joins them.
+            Entity("general text", (), "third", Placement(near_a, tall)),
+            Entity("general text", (), "fourth", Placement(near_b)),
+        ]
+        encodings = encode_clusters(screen, entities)
+        assert [e.surrounding_prompt for e in encodings] == [
+            ("alpha", "able"),
+            ("link", "baker", "alpha", "able", "bravo"),
+            ("alpha", "able", "bravo", "baker"),
+            ("bravo", "baker"),
+        ]
+        assert encodings == per_entity_encodings(screen, entities)
+        assert encode_clusters(screen, entities[::-1]) == per_entity_encodings(screen, entities[::-1])
+
+    def test_min_pts_1_never_reaches_the_general_labeller(self, monkeypatch, benchmark_input):
+        datapoints = parse_dataset(benchmark_input("cluster-encode"))
+        objects = list(datapoints[0].screen)
+        expected = [
+            [encode_clusters(d.screen, d.entities, eps) for d in datapoints] for eps in (None, 5.0)
+        ]
+        clusters = dbscan_cluster(objects, 20.0)
+
+        def refuse(*args):
+            raise AssertionError("_label_clusters called")
+
+        monkeypatch.setattr(cluster_encoder, "_label_clusters", refuse)
+        assert [
+            [encode_clusters(d.screen, d.entities, eps) for d in datapoints] for eps in (None, 5.0)
+        ] == expected
+        assert dbscan_cluster(objects, 20.0) == clusters
+        with pytest.raises(AssertionError, match="_label_clusters called"):
+            encode_clusters(datapoints[0].screen, datapoints[0].entities, min_pts=2)
 
     def test_branch_fixture_surroundings(self, branches):
         encodings = encode_clusters(branches.screen, branches.entities, eps=15)

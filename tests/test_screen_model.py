@@ -29,7 +29,7 @@ from refkit import (
     parse_dataset,
     save_dataset,
 )
-from refkit.screen_model import datapoint_to_record, format_dataset, median
+from refkit.screen_model import _box_from_json, datapoint_to_record, format_dataset, median
 
 from conftest import (
     DATA_DIR,
@@ -446,14 +446,15 @@ edge_texts = (
 
 
 def checked_box(value: object) -> BBox:
-    """The box the constructor path makes of a decoded JSON value."""
+    """The box the constructor path makes of a decoded JSON value: BBox
+    checks the decoded fields, which are then made floats."""
     if (
         type(value) is not list
         or len(value) != 4
         or any(type(number) not in (int, float) for number in value)
     ):
         raise ValueError(f"box must be an array of 4 numbers, got {value!r}")
-    return BBox(*map(float, value))
+    return BBox(*map(float, BBox(*value)))
 
 
 def onscreen_record() -> dict:
@@ -1242,7 +1243,8 @@ def screen_line(*entries) -> str:
 
 
 # The messages the codec gave for these entries before screens were held as
-# columns; each must stay byte for byte the same.
+# columns; each must stay byte for byte the same. An int box field a float
+# would round or cannot hold carries BBox's own message.
 MALFORMED_SCREEN_ENTRIES = {
     "non-object": (5, "line 2: screen object must be an object, got 5"),
     "array-entry": (
@@ -1284,7 +1286,10 @@ MALFORMED_SCREEN_ENTRIES = {
     "bad-box-before-bad-text": ({"text": "", "box": [0.0, 0.0, 1.0]},
                                 "line 2: box must be an array of 4 numbers, got [0.0, 0.0, 1.0]"),
     "huge-int": ({"text": "a", "box": [10**400, 0, 1, 1]},
-                 "line 2: int too large to convert to float"),
+                 "line 2: BBox.left must be finite, got an int past the float range"),
+    "rounded-int": ({"text": "a", "box": [9007199254740993, 0, 1, 1]},
+                    "line 2: BBox.left must be an int a float holds exactly, "
+                    "got one it would round"),
 }
 
 # Entries off the fast path that are valid, and the fields they load as.
@@ -1324,6 +1329,59 @@ class TestScreenCodec:
         record = json.loads(format_dataset([datapoint]))
         assert record["screen"][1] == {"text": fields[0], "box": fields[1]}
         assert all(type(value) is float for value in record["screen"][1]["box"])
+
+    @pytest.mark.parametrize(
+        "box", [[9007199254740993, 0, 1, 1], [10**400, 0, 1, 1]], ids=["rounded", "huge"]
+    )
+    def test_int_box_field_refused_as_bbox_refuses_it(self, box):
+        # An int a float would round, or cannot hold, is refused with
+        # BBox's own message, as an entity's box and as a screen object's.
+        with pytest.raises(ValueError) as refused:
+            BBox(*box)
+        message = f"line 2: {refused.value}"
+        for line in (good_then_bad(("entities", 0, "box"), box), screen_line({"text": "a", "box": box})):
+            with pytest.raises(DatasetError) as raised:
+                parse_dataset(line)
+            assert str(raised.value) == message
+
+    @settings(max_examples=300)
+    @given(st.lists(
+        st.integers(-10, 10)
+        | st.integers(2**53 - 3, 2**53 + 3)
+        | st.integers(-(2**1030), 2**1030)
+        | st.floats()
+        | st.booleans(),
+        min_size=4,
+        max_size=4,
+    ))
+    @example([1, 2, 3, 4])
+    @example([0, 0, -1, 1])
+    @example([True, 0, 1, 1])
+    @example([9007199254740993, 0, 1, 1])
+    @example([10**399, 0, 1, 1])
+    @example([1e308, 1e308, 0.0, 0.0])
+    @example([240, 130, 50.0, 20.0])
+    def test_int_boxes_decode_as_the_checked_path(self, box):
+        # Int, float and mixed boxes: the codec's fast paths give the fields,
+        # value, type and sign of zero alike, and the errors of the checked
+        # path, for an entity's box, its surrounding and the screen.
+        record = onscreen_record()
+        obj = {"text": "a", "box": box}
+        record["entities"][0].update(box=box, surrounding=[obj])
+        record["screen"] = [obj]
+        line = json.dumps(record)
+        try:
+            expected = list(map(repr, _box_from_json(box)))
+        except ValueError as exc:
+            with pytest.raises(DatasetError) as raised:
+                parse_dataset(line)
+            assert str(raised.value) == f"line 1: {exc}"
+            return
+        [datapoint] = parse_dataset(line)
+        placement = datapoint.entities[0].placement
+        for decoded in (placement.box, placement.surrounding[0].box, datapoint.screen[0].box):
+            assert type(decoded) is BBox
+            assert list(map(repr, decoded)) == expected
 
     def test_in_memory_int_box_is_written_as_floats(self):
         # Every screen and surrounding is a Screen, which holds box fields as
