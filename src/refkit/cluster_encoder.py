@@ -19,16 +19,15 @@ cost about O(n * m) tests, O(n^2) when every box spans the scene.
 
 encode_clusters numbers the scene's distinct objects once, the screen's
 first, and builds the graph over all of them the first time an eps value is
-used. At min_pts 1, the default, DBSCAN's clusters are the connected
-components of the graph, so each graph's components over the screen are
-found once; an entity's clusters are those, the ones its surrounding
-touches moved ahead, with its private (off-screen) objects folded in by a
-union-find over their edges. At min_pts > 1 one labeller walks the graph
-for each entity in its own order, skipping objects outside its set. Either
-way each result is what clustering the entity's objects on their own gives.
-It reads the screen and each surrounding, every one a Screen, through
-`object_columns` and works on object numbers, texts and box tuples, so no
-Screen is unpacked into ScreenObjects.
+used. At min_pts 1, the default, the clusters are the graph's connected
+components: those over the screen are found once per graph, and each
+entity's private (off-screen) objects are folded in by a union-find. At
+min_pts > 1 one labeller walks the graph for each entity in its own order,
+skipping objects outside its set. Either way each result is what clustering
+the entity's objects on their own gives. It reads the screen and each
+surrounding, every one a Screen, through `object_columns` and works on
+object numbers, texts and box tuples, so no Screen is unpacked into
+ScreenObjects.
 """
 from __future__ import annotations
 
@@ -174,7 +173,6 @@ def _label_clusters(
     """DBSCAN labelling of the objects numbered n in order over their eps
     graph, a list indexed by object number. Returns the members of clusters
     0, 1, ... in turn and then the noise (maybe none), each in `order`.
-    Used at min_pts > 1; at 1 the components below give the same clusters.
 
     graph[n] holds the n' within eps of n, n itself included, in any order;
     objects not in `order` are neither labelled nor counted as neighbours.
@@ -186,14 +184,12 @@ def _label_clusters(
     labels: list[int | None] = [_OUTSIDE] * len(graph)
     for n in order:
         labels[n] = None
-    core = None  # with min_pts 1 every point is core: its neighbourhood holds itself
-    if min_pts > 1:
-        core = {n: sum(labels[m] != _OUTSIDE for m in graph[n]) >= min_pts for n in order}
+    core = {n: sum(labels[m] != _OUTSIDE for m in graph[n]) >= min_pts for n in order}
     cluster_id = 0
     for n in order:
         if labels[n] is not None:
             continue
-        if core is not None and not core[n]:
+        if not core[n]:
             labels[n] = NOISE_CLUSTER_ID
             continue
         labels[n] = cluster_id
@@ -203,7 +199,7 @@ def _label_clusters(
                 label = labels[m]
                 if label is None:
                     labels[m] = cluster_id
-                    if core is None or core[m]:
+                    if core[m]:
                         cores.append(m)
                 elif label == NOISE_CLUSTER_ID:
                     labels[m] = cluster_id  # noise reachable from a core point -> border
@@ -216,21 +212,16 @@ def _label_clusters(
     return members
 
 
-def _components(
-    graph: Sequence[Sequence[int]], count: int
-) -> tuple[list[int], list[list[int]]]:
-    """The connected components of the subgraph of graph over the objects
-    numbered 0..count-1: each object's label, 0, 1, ... in order of each
-    component's lowest number (~n, a negative label of its own, for an
-    object n >= count), and the members of each component, in order.
+def _components(graph: Sequence[Sequence[int]], count: int) -> tuple[list, list[list[int]]]:
+    """Each object's label and the members, in order, of each connected
+    component over the objects 0..count-1; an object n >= count is ~n.
     """
     labels: list = [None] * count + [~n for n in range(count, len(graph))]
     groups: list[list[int]] = []
     for n in range(count):
         if labels[n] is not None:
             continue
-        label = len(groups)
-        labels[n] = label
+        label = labels[n] = len(groups)
         members = [n]
         stack = [n]
         while stack:
@@ -251,15 +242,10 @@ def _entity_clusters(
     first: list[int],
     private: set[int],
 ) -> list[list[int]]:
-    """The clusters _label_clusters(graph, order, 1) gives, less its empty
-    noise, for order = first, then the other screen objects (0..count-1,
-    whose components labels and groups are) in turn.
-
-    A union-find over the edges of private, first's off-screen objects,
-    joins the components they bridge; an edge to an object outside the set
-    counts for nothing. The clusters first touches lead, in order of first
-    appearance, each listing first's objects and then its others in order;
-    the other components follow as they are.
+    """_label_clusters(graph, first + the other screen objects, 1) less its
+    empty noise, from the screen's components (labels, groups): at min_pts 1
+    the clusters are the connected components. A private object's edge
+    counts only when its other end is in the entity's set.
     """
     parent: dict[int, int] = {}
 
@@ -305,8 +291,7 @@ def dbscan_cluster(
     deterministic for a given input sequence. Real clusters get ids 0..k-1
     in discovery order; noise objects, if any, are returned last under the
     reserved id NOISE_CLUSTER_ID. A point's eps-neighborhood includes itself,
-    so min_pts=1 makes every point a core point: the clusters are then the
-    connected components of the eps graph, found in one walk over it.
+    so min_pts=1 makes every point a core point.
 
     Region queries are answered from a uniform spatial grid (see
     _neighbor_lists) and are exact: the same neighbours as a scan over all
@@ -318,11 +303,7 @@ def dbscan_cluster(
     if not objects:
         return []
     graph = _neighbor_lists([obj.box for obj in objects], eps)
-    if min_pts == 1:
-        _, groups = _components(graph, len(objects))
-        noise = []
-    else:
-        *groups, noise = _label_clusters(graph, range(len(objects)), min_pts)
+    *groups, noise = _label_clusters(graph, range(len(objects)), min_pts)
     clusters = [
         Cluster(cid, tuple(map(objects.__getitem__, group))) for cid, group in enumerate(groups)
     ]
@@ -386,18 +367,14 @@ def encode_clusters(
     the threshold from the entity's object set (median object height).
 
     The eps-neighbourhood graph is built the first time an eps value is
-    used, over every object of the scene. A neighbourhood restricted to a
-    subset is the subset's own neighbourhood, so every encoding is exactly
-    what dbscan_cluster over the entity's own object set gives. With one eps
-    for all entities, as any explicit eps gives, the graph is just the union
-    of their object sets; it holds more only when eps=None and private
-    objects give entities different medians.
-
-    Computed once per call: the numbering, the screen's median height (the
-    derived eps of every entity whose surrounding lies on the screen), and
-    per eps the graph and, at min_pts 1, its components over the screen.
-    Per entity remains what depends on its own objects and order (see
-    _entity_clusters); at min_pts > 1, labelling its objects in its order.
+    used, over every object of the scene, with its connected components
+    over the screen at min_pts 1; the screen's median height is found once.
+    A neighbourhood restricted to a subset is the subset's own
+    neighbourhood, so every encoding is exactly what dbscan_cluster over the
+    entity's own object set gives. With one eps for all entities, as any
+    explicit eps gives, the graph is just the union of their object sets; it
+    holds more only when eps=None and private objects give entities
+    different medians.
     """
     # The scene's distinct objects, each numbered once: numbers maps an
     # object's (text, box) to its number, and texts and boxes hold its fields.

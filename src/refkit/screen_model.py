@@ -472,9 +472,7 @@ def _expect(value: object, field: str) -> list:
 
 def _box_from_json(value: object) -> BBox:
     """The box a decoded JSON value holds, its fields made floats once BBox
-    has checked them, so that a field BBox refuses (an int a float would
-    round, or one past the float range) raises BBox's own error.
-    """
+    has checked them."""
     if (
         type(value) is not list
         or len(value) != 4
@@ -490,37 +488,30 @@ def _box_fields(value: object) -> Sequence[float]:
 
     Four floats with non-negative sizes and a finite sum already make a
     valid box, and are returned as they are: a NaN fails `>= 0` or makes the
-    sum NaN, and an infinity makes it non-finite. Four ints or floats (not
-    bools) whose floats equal them are held to the same test and returned
-    as those floats, as a pixel box such as [240, 130, 50.0, 20.0] is.
-    Anything else (an int a float would round or cannot hold, NaN, an
-    infinity, a negative size, a sum that overflows) takes _box_from_json's
-    checked path.
+    sum NaN, and an infinity makes it non-finite. Ints (not bools) are made
+    floats first and held to the same test only when the floats equal them.
+    Anything else takes _box_from_json's checked path.
     """
     if type(value) is list and len(value) == 4:
+        fields = value
         left, top, width, height = value
-        if (
+        if not (
             type(left) is float
             and type(top) is float
             and type(width) is float
             and type(height) is float
-            and width >= 0.0
-            and height >= 0.0
-            and math.isfinite(left + top + width + height)
         ):
-            return value
-        if _NUMBER_TYPES.issuperset(map(type, value)):
+            if not _NUMBER_TYPES.issuperset(map(type, value)):
+                return _box_from_json(value)
             try:
                 fields = [float(left), float(top), float(width), float(height)]
             except OverflowError:  # an int past the float range
                 return _box_from_json(value)
-            if (
-                fields == value
-                and fields[2] >= 0.0
-                and fields[3] >= 0.0
-                and math.isfinite(fields[0] + fields[1] + fields[2] + fields[3])
-            ):
-                return fields
+            if fields != value:  # an int a float would round
+                return _box_from_json(value)
+            left, top, width, height = fields
+        if width >= 0.0 and height >= 0.0 and math.isfinite(left + top + width + height):
+            return fields
     return _box_from_json(value)
 
 
@@ -567,41 +558,39 @@ def _entity_to_json(entity: Entity) -> dict:
 def _entity_from_json(value: object, shared: dict) -> Entity:
     """The entity a record holds; equal placement-free records share one.
 
-    `shared` maps the key names and content of each placement-free record
-    decoded so far to its Entity, so a hit has the key names of a record
-    whose keys were checked, and skips the check. A key is built only when
-    `properties` is an array of arrays, the shape of a valid record, so its
-    equality is the equality of the JSON values: a string or object in place
-    of a pair never matches a valid pair.
+    `shared` maps the content of each placement-free record decoded so far to
+    its Entity. A key is built only when `properties` is an array of arrays,
+    the shape of a valid record, so its equality is the equality of the JSON
+    values: a string or object in place of a pair never matches a valid pair.
     """
     if not isinstance(value, dict):
         raise ValueError(f"entity must be an object, got {value!r}")
-    properties = value.get("properties", ())
-    key = None
-    if "box" not in value and type(properties) is list and {list}.issuperset(map(type, properties)):
-        key = (
-            tuple(value), value.get("type"), value.get("display_text"),
-            tuple(map(tuple, properties)),
+    if not _ENTITY_KEY_SET.issuperset(value):
+        _reject_unknown_keys(value, _ENTITY_KEYS, "entity", ValueError)
+    placement = key = None
+    if "box" in value:
+        placement = Placement(
+            box=_box_from_json(value["box"]),
+            surrounding=_objects_from_json(value.get("surrounding", []), "surrounding"),
         )
+    entity_type = value["type"]
+    properties = value.get("properties", ())
+    display_text = value.get("display_text")
+    if placement is None and "surrounding" in value:
+        Entity(entity_type, properties, display_text)  # its own errors come first
+        raise ValueError("entity has surrounding objects but no box")
+    if (
+        placement is None
+        and type(properties) is list
+        and {list}.issuperset(map(type, properties))
+    ):
+        key = (entity_type, display_text, tuple(map(tuple, properties)))
         try:
             entity = shared.get(key)
         except TypeError:  # an array or object field, which Entity rejects
             entity = key = None
         if entity is not None:
             return entity
-    if not _ENTITY_KEY_SET.issuperset(value):
-        _reject_unknown_keys(value, _ENTITY_KEYS, "entity", ValueError)
-    placement = None
-    if "box" in value:
-        placement = Placement(
-            box=tuple.__new__(BBox, _box_fields(value["box"])),
-            surrounding=_objects_from_json(value.get("surrounding", []), "surrounding"),
-        )
-    entity_type = value["type"]
-    display_text = value.get("display_text")
-    if placement is None and "surrounding" in value:
-        Entity(entity_type, properties, display_text)  # its own errors come first
-        raise ValueError("entity has surrounding objects but no box")
     entity = Entity(entity_type, properties, display_text, placement)
     if key is not None:
         shared[key] = entity

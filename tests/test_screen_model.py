@@ -1364,22 +1364,26 @@ class TestScreenCodec:
     def test_int_boxes_decode_as_the_checked_path(self, box):
         # Int, float and mixed boxes: the codec's fast paths give the fields,
         # value, type and sign of zero alike, and the errors of the checked
-        # path, for an entity's box, its surrounding and the screen.
-        record = onscreen_record()
-        obj = {"text": "a", "box": box}
-        record["entities"][0].update(box=box, surrounding=[obj])
-        record["screen"] = [obj]
-        line = json.dumps(record)
+        # path, for an entity's box, its surrounding and the screen, each
+        # tried on its own so that no earlier box's error hides a later one.
         try:
             expected = list(map(repr, _box_from_json(box)))
         except ValueError as exc:
-            with pytest.raises(DatasetError) as raised:
-                parse_dataset(line)
-            assert str(raised.value) == f"line 1: {exc}"
-            return
-        [datapoint] = parse_dataset(line)
-        placement = datapoint.entities[0].placement
-        for decoded in (placement.box, placement.surrounding[0].box, datapoint.screen[0].box):
+            expected = f"line 1: {exc}"
+        for at in range(3):
+            record = onscreen_record()
+            places = (record["entities"][0], record["entities"][0]["surrounding"][0],
+                      record["screen"][0])
+            places[at]["box"] = box
+            line = json.dumps(record)
+            if isinstance(expected, str):
+                with pytest.raises(DatasetError) as raised:
+                    parse_dataset(line)
+                assert str(raised.value) == expected
+                continue
+            [datapoint] = parse_dataset(line)
+            placement = datapoint.entities[0].placement
+            decoded = (placement.box, placement.surrounding[0].box, datapoint.screen[0].box)[at]
             assert type(decoded) is BBox
             assert list(map(repr, decoded)) == expected
 
