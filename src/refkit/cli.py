@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 
 from .cluster_encoder import encode_clusters
-from .entity_textualizer import RuleError, default_registry, load_rules
+from .entity_textualizer import default_registry, load_rules
 from .eval_harness import (
     ConstantResolver,
     EvaluationError,
@@ -25,12 +25,7 @@ from .eval_harness import (
 from .layout_encoder import EncoderConfig, encode_screen
 from .prompt_builder import prompt_for_datapoint
 from .screen_model import DataPoint, DatasetError, load_dataset, save_dataset
-from .synth_datagen import (
-    TemplateError,
-    bundled_template_dir,
-    generate_datapoints,
-    load_templates,
-)
+from .synth_datagen import bundled_template_dir, generate_datapoints, load_templates
 from .value_bank import pool_entities
 
 AUTH_TOKEN_ENV = "REFKIT_RESOLVER_TOKEN"
@@ -296,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, TemplateError, RuleError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

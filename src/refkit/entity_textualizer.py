@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .screen_model import _LINE_BREAKS, MAX_MEMO, Entity, _reject_unknown_keys
+from .screen_model import _LINE_BREAKS, MAX_MEMO, Entity, _read_yaml, _reject_unknown_keys
 
 _TYPE_JOIN = " | "
 
@@ -264,15 +264,7 @@ def load_rules(path: str, base: RuleRegistry | None = None) -> RuleRegistry:
     rules; `base` itself is unchanged. Every fault raises RuleError naming
     the file and, where there is one, the 0-based entry.
     """
-    # Imported here, not at module level, so commands that read no YAML
-    # start without loading the parser.
-    import yaml
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise RuleError(f"{path}: {exc}") from exc
+    data = _read_yaml(path, RuleError)
     if isinstance(data, dict) and "rules" in data:
         _reject_unknown_keys(data, ("rules",), f"{path}: top-level mapping", RuleError)
         data = data["rules"]

@@ -14,6 +14,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
+from os import PathLike
 from typing import IO, Iterable, Iterator, NamedTuple
 
 KINDS = ("conversational", "synthetic", "onscreen")
@@ -63,55 +64,32 @@ class BBox(_BBoxFields):
 
     Each field is a finite float or an int a float holds exactly, since a
     Screen holds box fields as floats. A tuple of (left, top, width,
-    height), so building, hashing and comparing one runs at tuple speed; it
-    equals the plain 4-tuple of its fields and orders like one. Every way of
-    making one (the constructor, `_make`, `_replace`, unpickling, copying)
-    makes the checks below. The trade-off: CPython 3.11 specialises field
-    reads only on exact tuples, so one read of a box field costs several
-    times what it did when BBox was a frozen dataclass. The cheaper
-    construction and hashing more than repay that on the on-screen path.
+    height): it equals the plain 4-tuple of its fields and orders like one.
+    Every way of making one (the constructor, `_make`, `_replace`,
+    unpickling, copying) makes the checks below. No decode path builds one:
+    the codec checks each decoded box with `_box_fields`.
     """
 
     __slots__ = ()
 
     def __new__(cls, left: float, top: float, width: float, height: float) -> BBox:
-        numbers = _NUMBER_TYPES
-        isfinite = math.isfinite
-        try:
-            valid = (
-                type(left) in numbers
-                and type(top) in numbers
-                and type(width) in numbers
-                and type(height) in numbers
-                and isfinite(left)
-                and isfinite(top)
-                and isfinite(width)
-                and isfinite(height)
-                and (type(left) is float or float(left) == left)
-                and (type(top) is float or float(top) == top)
-                and (type(width) is float or float(width) == width)
-                and (type(height) is float or float(height) == height)
-            )
-        except OverflowError:  # an int past the float range
-            valid = False
-        if not valid:
-            for name, value in zip(cls._fields, (left, top, width, height)):
-                if type(value) not in numbers:
-                    raise ValueError(f"BBox.{name} must be a number, got {value!r}")
-                try:
-                    finite = isfinite(value)
-                except OverflowError:
-                    # The int is not shown: CPython refuses to make text of
-                    # one longer than 4,300 digits.
-                    raise ValueError(
-                        f"BBox.{name} must be finite, got an int past the float range"
-                    ) from None
-                if not finite:
-                    raise ValueError(f"BBox.{name} must be finite, got {value!r}")
-                if float(value) != value:  # as above, the int is not shown
-                    raise ValueError(
-                        f"BBox.{name} must be an int a float holds exactly, got one it would round"
-                    )
+        for name, value in zip(cls._fields, (left, top, width, height)):
+            if type(value) not in _NUMBER_TYPES:
+                raise ValueError(f"BBox.{name} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                # The int is not shown: CPython refuses to make text of one
+                # longer than 4,300 digits.
+                raise ValueError(
+                    f"BBox.{name} must be finite, got an int past the float range"
+                ) from None
+            if not finite:
+                raise ValueError(f"BBox.{name} must be finite, got {value!r}")
+            if float(value) != value:  # as above, the int is not shown
+                raise ValueError(
+                    f"BBox.{name} must be an int a float holds exactly, got one it would round"
+                )
         if width < 0 or height < 0:
             raise ValueError("BBox width and height must be non-negative")
         return tuple.__new__(cls, (left, top, width, height))
@@ -452,6 +430,24 @@ def _reject_unknown_keys(
     raise error(f"{what} has unknown key {key!r} (accepted: {', '.join(accepted)})")
 
 
+def _read_yaml(path: str | PathLike, error: type[ValueError]) -> object:
+    """The value of the YAML file at path, read whole as UTF-8.
+
+    A syntax error, invalid UTF-8, nesting too deep to build, or a scalar
+    that cannot be constructed (the date 2001-02-30) raises error naming the
+    file.
+    """
+    # Imported here, not at module level, so commands that read no YAML
+    # start without loading the parser.
+    import yaml
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return yaml.safe_load(handle.read())
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 # --- JSONL dataset codec ---------------------------------------------------
 
 # The keys each JSON object of a record may hold, in the order they are
@@ -472,7 +468,8 @@ def _expect(value: object, field: str) -> list:
 
 def _box_from_json(value: object) -> BBox:
     """The box a decoded JSON value holds, its fields made floats once BBox
-    has checked them."""
+    has checked them: the checked path of `_box_fields`, which explains a
+    refusal."""
     if (
         type(value) is not list
         or len(value) != 4
@@ -484,13 +481,14 @@ def _box_from_json(value: object) -> BBox:
 
 
 def _box_fields(value: object) -> Sequence[float]:
-    """The four float fields of the box a decoded JSON value holds.
+    """The four float fields of the box a decoded JSON value holds: the one
+    box test of the codec, taken by every entity's and screen object's box.
 
     Four floats with non-negative sizes and a finite sum already make a
-    valid box, and are returned as they are: a NaN fails `>= 0` or makes the
-    sum NaN, and an infinity makes it non-finite. Ints (not bools) are made
-    floats first and held to the same test only when the floats equal them.
-    Anything else takes _box_from_json's checked path.
+    valid box: a NaN fails `>= 0` or makes the sum NaN, and an infinity
+    makes it non-finite. Ints (not bools) are made floats first and held to
+    the same test only when the floats equal them. Anything else takes
+    _box_from_json's checked path.
     """
     if type(value) is list and len(value) == 4:
         fields = value
@@ -570,7 +568,7 @@ def _entity_from_json(value: object, shared: dict) -> Entity:
     placement = key = None
     if "box" in value:
         placement = Placement(
-            box=_box_from_json(value["box"]),
+            box=tuple.__new__(BBox, _box_fields(value["box"])),
             surrounding=_objects_from_json(value.get("surrounding", []), "surrounding"),
         )
     entity_type = value["type"]

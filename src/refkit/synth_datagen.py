@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .screen_model import DataPoint, Entity, _reject_unknown_keys
+from .screen_model import DataPoint, Entity, _read_yaml, _reject_unknown_keys
 from .value_bank import sample_entity
 
 PLACEHOLDER_RE = re.compile(r"\[([^\[\]]+)\]")
@@ -217,15 +217,8 @@ def load_template_file(path: str | Path) -> list[tuple[LanguageTemplate, SlotLis
     sections: variations, slots, ground_truth_types, and an optional id
     (defaults to the file stem). Any other key is a TemplateError.
     """
-    # Imported here, not at module level, so commands that read no YAML
-    # start without loading the parser.
-    import yaml
-
     path = Path(path)
-    try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise TemplateError(f"{path}: {exc}") from exc
+    data = _read_yaml(path, TemplateError)
     entries = data if isinstance(data, list) else [data]
     pairs = []
     for position, entry in enumerate(entries):

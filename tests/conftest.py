@@ -3,19 +3,45 @@
 The JSONL files under tests/data/ are the shipped form of these same
 datapoints; test_screen_model guards that the two stay in sync. The
 benchmark's seeded inputs are available too, through `benchmark_input`.
+
+HYPOTHESIS_PROFILE=ci selects the "ci" profile, which prints the blob that
+replays a failing example.
 """
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from refkit import BBox, DataPoint, Entity, Placement, ScreenObject
 
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
 DATA_DIR = Path(__file__).parent / "data"
 REPO_DIR = Path(__file__).parent.parent
+
+# Deeper than any YAML parser stack: the loaders must refuse it, not crash.
+DEEP_LIST = "[" * 5000 + "]" * 5000
+
+
+def yaml_file_bodies(keys: tuple[str, ...]):
+    """Bytes of a YAML file: raw bytes, or the dump of nested values whose
+    mapping keys are often drawn from keys, so a loader's checks are reached."""
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    values = st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.sampled_from(keys) | st.text(max_size=4), children, max_size=5),
+        max_leaves=16,
+    )
+    return st.binary(max_size=64) | values.map(lambda value: yaml.safe_dump(value).encode())
 
 # Rendered form of the realtor screen: eight lines, phone markers on the last.
 REALTOR_PARSE_TEXT = (

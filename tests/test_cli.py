@@ -5,7 +5,7 @@ import pytest
 from refkit import load_dataset
 from refkit.cli import main
 
-from conftest import DATA_DIR, REALTOR_GRAB_TEXT, REALTOR_PARSE_TEXT
+from conftest import DATA_DIR, DEEP_LIST, REALTOR_GRAB_TEXT, REALTOR_PARSE_TEXT
 
 REALTOR = str(DATA_DIR / "realtor_screen.jsonl")
 BRANCHES = str(DATA_DIR / "branch_clusters.jsonl")
@@ -378,3 +378,34 @@ def test_bad_numeric_flag_is_a_usage_error(command, flag, value, tmp_path, capsy
     assert stopped.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("negatives", "pool of 75 cannot supply 1000 negatives"),
+        ("deep-template", "deep.yaml: "),
+        ("deep-rules", "deep.yaml: "),
+        ("no-entities", "record 0: "),
+    ],
+)
+def test_refusal_is_an_error_line_not_a_traceback(name, message, tmp_path, capsys):
+    # A plain ValueError from the library, and a RecursionError from the YAML
+    # parser, used to escape main and end the command in a traceback.
+    out = str(tmp_path / "out")
+    deep = tmp_path / "deep.yaml"
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps(NO_ENTITIES["conversational"]) + "\n", encoding="utf-8")
+    if name == "deep-template":
+        deep.write_text(f'variations: {DEEP_LIST}\nground_truth_types: ["person"]\n', encoding="utf-8")
+    else:
+        deep.write_text(f"- type: a\n  fields: {DEEP_LIST}\n", encoding="utf-8")
+    argv = {
+        "negatives": ["generate", "--output", out, "--negatives", "1000"],
+        "deep-template": ["generate", "--input", str(deep), "--output", out],
+        "deep-rules": ["prompt", "--input", RAINBOW, "--output", out, "--rules", str(deep)],
+        "no-entities": ["evaluate", "--input", str(dataset), "--oracle", "--output", out],
+    }[name]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

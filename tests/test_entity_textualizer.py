@@ -5,6 +5,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from refkit import (
     Entity,
@@ -20,6 +21,8 @@ from refkit import (
 )
 from refkit.entity_textualizer import DEFAULT_RULES, MAX_MEMO, camel_case
 from refkit.value_bank import pool_entities
+
+from conftest import DEEP_LIST, yaml_file_bodies
 
 # One row per supported type: the entity's properties and the exact string
 # it must render to.
@@ -321,20 +324,47 @@ class TestRulesFile:
             (b"rules: 5\n", ".*list of rule entries"),
             (b"- type: [a\n", ""),
             (b"- type: \xff\n", ".*utf-8"),
+            (f"- type: a\n  fields: {DEEP_LIST}\n".encode(), "maximum recursion depth"),
+            (b"- type: 2001-02-30\n", "day is out of range"),
+            (f"- type: {'1' * 5000}\n".encode(), "Exceeds the limit"),
         ],
         ids=["entry-int", "field-int", "fields-string", "labeled-string", "field-no-key",
              "no-type", "type-int", "alias-int", "separator-int", "alias-newline",
              "separator-newline", "key-newline", "key-cr", "rules-int",
-             "malformed-yaml", "bad-utf8"],
+             "malformed-yaml", "bad-utf8", "nested-5000-deep", "impossible-date",
+             "int-of-5000-digits"],
     )
     def test_malformed_rules_located(self, tmp_path, body, message):
-        # These used to escape as AttributeError, TypeError, a yaml error or a
-        # decode error, or to be converted: "name" into four one-letter
-        # fields, "no" into True.
+        # These used to escape as AttributeError, TypeError, a yaml error, a
+        # decode error, a RecursionError or a plain ValueError, or to be
+        # converted: "name" into four one-letter fields, "no" into True.
         path = tmp_path / "rules.yaml"
         path.write_bytes(body)
         with pytest.raises(RuleError, match=f"rules.yaml: {message}"):
             load_rules(str(path), base=default_registry())
+
+    def test_bad_utf8_named_by_its_file_position(self, tmp_path):
+        # The file is read whole, so the position is not one within a chunk.
+        body = b"# " + b"x" * 20_000 + b"\n- type: \xff\n"
+        position = body.index(b"\xff")
+        path = tmp_path / "rules.yaml"
+        path.write_bytes(body)
+        with pytest.raises(RuleError, match=f"in position {position}:"):
+            load_rules(str(path))
+
+    # The 5,000-deep example takes the parser past the default deadline.
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(yaml_file_bodies(
+        ("rules", "type", "alias", "field_separator", "fields", "key", "labeled")
+    ))
+    @example(f"- type: a\n  fields: {DEEP_LIST}\n".encode())
+    def test_any_file_loads_or_gives_a_located_error(self, tmp_path, body):
+        path = tmp_path / "fuzz.yaml"
+        path.write_bytes(body)
+        try:
+            load_rules(str(path), base=default_registry())
+        except RuleError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
     @pytest.mark.parametrize(
         "body, message",

@@ -1387,6 +1387,28 @@ class TestScreenCodec:
             assert type(decoded) is BBox
             assert list(map(repr, decoded)) == expected
 
+    def test_no_decode_path_builds_a_bbox(self, monkeypatch):
+        # Entity, surrounding and screen boxes, int, float and mixed, are
+        # checked by the codec itself and never reach BBox.__new__.
+        built = []
+        make = BBox.__new__
+
+        def counted(cls, *fields):
+            built.append(fields)
+            return make(cls, *fields)
+
+        monkeypatch.setattr(BBox, "__new__", staticmethod(counted))
+        record = onscreen_record()
+        record["entities"][0]["box"] = [0, 0.5, 10, 2.0]
+        record["entities"][0]["surrounding"].append({"text": "go", "box": [1.5, 3, 4, 2]})
+        record["screen"].append({"text": "more", "box": [0.0, 6, 5.5, 2]})
+        text = json.dumps(record) + "\n" + json.dumps(onscreen_record())
+        datapoints = parse_dataset(text)
+        assert load_dataset(io.BytesIO(text.encode())) == datapoints
+        assert built == []
+        assert datapoints[0].entities[0].placement.box == BBox(0, 0.5, 10, 2)
+        assert built == [(0, 0.5, 10, 2)]
+
     def test_in_memory_int_box_is_written_as_floats(self):
         # Every screen and surrounding is a Screen, which holds box fields as
         # floats; each keeps its value, so the datapoint is unchanged.

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from refkit import (
     LanguageTemplate,
@@ -20,6 +21,8 @@ from refkit.synth_datagen import (
     placeholders,
 )
 from refkit.value_bank import VALUE_BANK, pool_entities, sample_entity
+
+from conftest import DEEP_LIST, yaml_file_bodies
 
 
 def share_template():
@@ -293,15 +296,23 @@ class TestTemplateFiles:
             (b'id: ~\nvariations: ["call"]\nground_truth_types: ["person"]\n',
              "entry 0: .*template id"),
             (b'variations: ["\xff"]\nground_truth_types: ["person"]\n', ".*utf-8"),
+            (f'variations: {DEEP_LIST}\nground_truth_types: ["person"]\n'.encode(),
+             "maximum recursion depth"),
+            (b'variations: ["call [x]"]\nslots: {x: [2001-02-30]}\nground_truth_types: ["a"]\n',
+             "day is out of range"),
+            (f'id: {"1" * 5000}\nvariations: ["call"]\nground_truth_types: ["a"]\n'.encode(),
+             "Exceeds the limit"),
         ],
         ids=["variations-string", "types-string", "variation-int", "type-bool",
              "value-null", "value-bool", "value-float", "value-octal", "values-string",
-             "slot-name-int", "slots-list", "id-null", "bad-utf8"],
+             "slot-name-int", "slots-list", "id-null", "bad-utf8", "nested-5000-deep",
+             "impossible-date", "int-of-5000-digits"],
     )
     def test_non_string_fields_rejected(self, tmp_path, body, message):
         # Each of these used to be converted: a string iterated into one-letter
         # entries, ~ into "None", on into "True", 1.10 into "1.1", 010 into "8";
-        # undecodable bytes escaped as a UnicodeDecodeError.
+        # undecodable bytes escaped as a UnicodeDecodeError, the last three
+        # as a RecursionError or a plain ValueError.
         path = tmp_path / "bad.yaml"
         path.write_bytes(body)
         with pytest.raises(TemplateError, match=f"bad.yaml: {message}"):
@@ -324,6 +335,18 @@ class TestTemplateFiles:
         path.write_bytes(body)
         with pytest.raises(TemplateError, match=f"^{re.escape(str(path))}: {message} \\(accepted: "):
             load_template_file(path)
+
+    # The 5,000-deep example takes the parser past the default deadline.
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(yaml_file_bodies(("id", "variations", "slots", "ground_truth_types")))
+    @example(f"variations: {DEEP_LIST}\n".encode())
+    def test_any_file_loads_or_gives_a_located_error(self, tmp_path, body):
+        path = tmp_path / "fuzz.yaml"
+        path.write_bytes(body)
+        try:
+            load_template_file(path)
+        except TemplateError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
     def test_bundled_templates_load_and_cover_500(self):
         pairs = load_templates(bundled_template_dir())
