@@ -3,26 +3,18 @@
 The JSONL files under tests/data/ are the shipped form of these same
 datapoints; test_screen_model guards that the two stay in sync. The
 benchmark's seeded inputs are available too, through `benchmark_input`.
-
-HYPOTHESIS_PROFILE=ci selects the "ci" profile, which prints the blob that
-replays a failing example.
 """
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import settings
 from hypothesis import strategies as st
 
 from refkit import BBox, DataPoint, Entity, Placement, ScreenObject
-
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_DIR = Path(__file__).parent.parent

@@ -386,7 +386,6 @@ def test_bad_numeric_flag_is_a_usage_error(command, flag, value, tmp_path, capsy
         ("negatives", "pool of 75 cannot supply 1000 negatives"),
         ("deep-template", "deep.yaml: "),
         ("deep-rules", "deep.yaml: "),
-        ("no-entities", "record 0: "),
     ],
 )
 def test_refusal_is_an_error_line_not_a_traceback(name, message, tmp_path, capsys):
@@ -394,8 +393,6 @@ def test_refusal_is_an_error_line_not_a_traceback(name, message, tmp_path, capsy
     # parser, used to escape main and end the command in a traceback.
     out = str(tmp_path / "out")
     deep = tmp_path / "deep.yaml"
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text(json.dumps(NO_ENTITIES["conversational"]) + "\n", encoding="utf-8")
     if name == "deep-template":
         deep.write_text(f'variations: {DEEP_LIST}\nground_truth_types: ["person"]\n', encoding="utf-8")
     else:
@@ -404,7 +401,6 @@ def test_refusal_is_an_error_line_not_a_traceback(name, message, tmp_path, capsy
         "negatives": ["generate", "--output", out, "--negatives", "1000"],
         "deep-template": ["generate", "--input", str(deep), "--output", out],
         "deep-rules": ["prompt", "--input", RAINBOW, "--output", out, "--rules", str(deep)],
-        "no-entities": ["evaluate", "--input", str(dataset), "--oracle", "--output", out],
     }[name]
     assert main(argv) == 1
     err = capsys.readouterr().err
