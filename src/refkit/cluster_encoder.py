@@ -10,12 +10,14 @@ is why the layout parse is the production path. encode_clusters is the one
 way to build these encodings; dbscan_cluster, the same clustering over one
 object list, stays public while the benchmark's traced run wraps it.
 
-Clustering is DBSCAN over an eps-neighbourhood graph found through a
-uniform spatial grid over parallel lists of box edges. A pair in reach goes
-to rect_distance, the one definition of the distance, only when both its
-axis gaps are within eps. This is exact: the graph, so every cluster, is
-what a scan over all objects gives. n objects with about m neighbours each
-cost about O(n * m) tests, O(n^2) when every box spans the scene.
+Clustering is DBSCAN over an eps-neighbourhood graph found by one sorted
+sweep over parallel lists of box edges, along the axis the scene spans
+further. A pair goes to rect_distance, the one definition of the distance,
+only when all four edge differences it takes its axis gaps from are within
+eps. The sweep compares the same float expressions, so the graph, and with
+it every cluster, is exactly what a scan over all objects gives. It costs
+O(n log n) plus the pairs within eps along the sweep axis, O(n^2) when
+every box shares one band on both axes.
 
 encode_clusters numbers the scene's distinct objects once, the screen's
 first, and builds the graph over all of them the first time an eps value is
@@ -32,7 +34,6 @@ ScreenObjects.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import chain, filterfalse
 from typing import Iterable, Sequence
@@ -82,76 +83,41 @@ def rect_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.hypot(gap_x if gap_x > 0.0 else 0.0, gap_y if gap_y > 0.0 else 0.0)
 
 
-# Extra reach of a query, in cells, beyond eps: far above the rounding error
-# of a cell position (a few ulps of at most k + 3) and far below a cell.
-_REACH_MARGIN = 2.0**-20
-
-
-def _axis_cells(
-    starts: Sequence[float], ends: Sequence[float], eps: float, k: int
-) -> tuple[list[range], list[range]]:
-    """Along one axis: the cells each box covers and the cells its query scans.
-
-    Cells have side max(eps, extent / k) and are numbered from 1 at the
-    smallest start, so every box lies within cells 1..k+1 however large it
-    is or small eps is, and every scan within 0..k+2. A box at most eps away
-    along the axis is then at most one cell away, and each query scans its
-    box's cells widened by that reach. Offsets past the float range are
-    clamped; clamping, like rounding, is monotone and widens no gap, so it
-    cannot push a neighbour out of reach.
-    """
-    top = sys.float_info.max
-    origin = min(starts)
-    side = min(max(eps, (max(ends) - origin) / k), top)
-    reach = min(eps / side, 1.0) + _REACH_MARGIN
-    covers, scans = [], []
-    for start, end in zip(starts, ends):
-        low, high = start - origin, end - origin
-        low = 1 + (low if low < top else top) / side
-        high = 1 + (high if high < top else top) / side
-        covers.append(range(int(low), int(high) + 1))
-        scans.append(range(int(low - reach), int(high + reach) + 1))
-    return covers, scans
-
-
 def _neighbor_lists(boxes: Sequence[Sequence[float]], eps: float) -> list[list[int]]:
     """For each box i, the indices j with rect_distance(i, j) <= eps, i first.
 
-    Boxes are filed in turn under every cell they cover of a uniform grid of
-    (k + 3)^2 cells, k = ceil(sqrt(n)), and box i is tested against the
-    earlier boxes filed under the cells within reach of its own; a match is
-    recorded on both sides (rect_distance is symmetric). Small boxes with m
-    neighbours each so cost about n * m / 2 tests instead of n^2; the worst
-    case, every box covering every cell, tests every pair once. A pair is
-    skipped when one of the four edge differences rect_distance takes its
-    axis gaps from exceeds eps, as the distance is at least each of them.
+    One sweep along the axis the scene spans further (its largest far edge
+    less its smallest near edge): boxes are visited in order of their near
+    edge, each tested against the earlier boxes still active, and a match
+    is recorded on both sides (rect_distance is symmetric). An earlier box
+    j leaves the active list once near_i - far_j > eps; float subtraction
+    is monotone and near edges only grow, so that difference exceeds eps
+    for every later box too, and the distance is at least it. An active
+    pair reaches rect_distance only when the two edge differences across
+    the sweep are within eps as well. The cost is O(n log n) plus the
+    pairs within eps along the sweep axis: O(n^2) when every box shares
+    one band on both axes.
     """
-    k = math.isqrt(len(boxes) - 1) + 1
     lefts, tops, widths, heights = zip(*boxes)
     # Right and bottom edges are summed as rect_distance sums them.
     rights = [left + width for left, width in zip(lefts, widths)]
     bottoms = [top + height for top, height in zip(tops, heights)]
-    x_covers, x_scans = _axis_cells(lefts, rights, eps, k)
-    y_covers, y_scans = _axis_cells(tops, bottoms, eps, k)
-    stride = k + 3
-    cells: list[list[int]] = [[] for _ in range(stride * stride)]
+    near, far, lows, highs = lefts, rights, tops, bottoms
+    if max(bottoms) - min(tops) > max(rights) - min(lefts):
+        near, far, lows, highs = tops, bottoms, lefts, rights
     neighbors: list[list[int]] = [[i] for i in range(len(boxes))]
-    for i, box in enumerate(boxes):
-        left, top, right, bottom = lefts[i], tops[i], rights[i], bottoms[i]
-        earlier = {
-            j for cx in x_scans[i] for cy in y_scans[i] for j in cells[cx * stride + cy]
-        }
-        for j in earlier:
+    active: list[int] = []
+    for i in sorted(range(len(boxes)), key=near.__getitem__):
+        start, low, high, box = near[i], lows[i], highs[i], boxes[i]
+        active = [j for j in active if start - far[j] <= eps]
+        for j in active:
             if (
-                left - rights[j] <= eps and lefts[j] - right <= eps
-                and top - bottoms[j] <= eps and tops[j] - bottom <= eps
+                low - highs[j] <= eps and lows[j] - high <= eps
                 and rect_distance(box, boxes[j]) <= eps
             ):
                 neighbors[i].append(j)
                 neighbors[j].append(i)
-        for cx in x_covers[i]:
-            for cy in y_covers[i]:
-                cells[cx * stride + cy].append(i)
+        active.append(i)
     return neighbors
 
 
@@ -293,11 +259,11 @@ def dbscan_cluster(
     reserved id NOISE_CLUSTER_ID. A point's eps-neighborhood includes itself,
     so min_pts=1 makes every point a core point.
 
-    Region queries are answered from a uniform spatial grid (see
-    _neighbor_lists) and are exact: the same neighbours as a scan over all
-    objects, so the same clusters. For n objects with about m neighbours
-    each they cost O(n * m) rather than the scan's O(n^2); O(n^2) remains
-    the worst case, when every box spans the scene.
+    Region queries are answered by one sorted sweep (see _neighbor_lists)
+    and are exact: the same neighbours as a scan over all objects, so the
+    same clusters. They cost O(n log n) plus the pairs within eps along the
+    sweep axis rather than the scan's O(n^2); O(n^2) remains the worst
+    case, when every box shares one band on both axes.
     """
     _check_parameters(eps, min_pts)
     if not objects:

@@ -140,11 +140,13 @@ def generate_datapoints(
     or ground-truth type that DataPoint or Entity rejects, such as one holding
     a line break or a lone surrogate, raises TemplateError naming the template.
     per_query_negatives and max_samples must be exact ints >= 0 (a bool is
-    not a count here), and max_samples may also be None; anything else is a
-    ValueError naming the argument.
+    not a count here), and max_samples may also be None; seed must be an
+    exact int. Anything else is a ValueError naming the argument.
     """
     if type(per_query_negatives) is not int or per_query_negatives < 0:
         raise ValueError(f"per_query_negatives must be an int >= 0, got {per_query_negatives!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if max_samples is not None and (type(max_samples) is not int or max_samples < 0):
         raise ValueError(f"max_samples must be None or an int >= 0, got {max_samples!r}")
     gt_types = {t.lower() for t in slots.ground_truth_types}

@@ -3,6 +3,7 @@ import random
 import re
 import statistics
 import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -226,6 +227,8 @@ EXTREME_OBJECTS = [
     ScreenObject("near-origin", BBox(1.5, 0, 1, 1)),
 ]
 EXTREME_EPS = (5e-324, 1e-6, 1.0, 1e300, TOP, math.inf)
+ROW = [BBox(50 * i, 0, 40, 10) for i in range(-12, 13)]
+COLUMN = [BBox(0, 50 * i, 10, 40) for i in range(-12, 13)]
 
 
 class TestDbscan:
@@ -278,8 +281,8 @@ class TestDbscan:
         ],
     )
     def test_gap_of_exactly_eps_on_a_cell_edge(self, origin, left, width, next_left, eps):
-        # The gap rounds to eps or just below, while the cell positions of the
-        # two facing edges round to either side of a cell boundary.
+        # The gap between the facing edges of a and b, as floats compute it,
+        # is exactly eps or just below it.
         objects = [
             ScreenObject("origin", BBox(origin, 0, 0, 0)),
             ScreenObject("a", BBox(left, 0, width, 0)),
@@ -311,6 +314,11 @@ class TestDbscan:
     @example((EXTREME_OBJECTS, EXTREME_EPS[3]))
     @example((EXTREME_OBJECTS, EXTREME_EPS[4]))
     @example((EXTREME_OBJECTS, EXTREME_EPS[5]))
+    # A row wider than tall and a column taller than wide, swept along
+    # their long axes, and a cross of the two, where one arm shares a band.
+    @example(_scene(ROW, 10.0))
+    @example(_scene(COLUMN, 10.0))
+    @example(_scene(ROW + COLUMN, 10.0))
     def test_neighbor_lists_match_a_scan(self, scene):
         objects, eps = scene
         assume(objects)
@@ -321,6 +329,23 @@ class TestDbscan:
             [j for j, other in enumerate(boxes) if rect_distance(box, other) <= eps]
             for box in boxes
         ]
+
+    @pytest.mark.parametrize(
+        "boxes",
+        [
+            [(50.0 * i, 0.0, 40.0, 10.0) for i in range(20_000)],
+            [(0.0, 50.0 * i, 10.0, 40.0) for i in range(20_000)],
+        ],
+        ids=["row", "column"],
+    )
+    def test_long_row_and_column_sweep_their_long_axis(self, boxes):
+        # Swept along its length, each box meets two others; swept across,
+        # every box stays active and the build is quadratic, taking seconds
+        # already at 10^4 boxes.
+        started = time.process_time()
+        near = cluster_encoder._neighbor_lists(boxes, 10.0)
+        assert time.process_time() - started < 2.0
+        assert [len(around) for around in near] == [2] + [3] * (len(boxes) - 2) + [2]
 
     def test_distance_tests_grow_linearly(self, monkeypatch):
         calls = 0

@@ -6,6 +6,8 @@ import re
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+import refkit.synth_datagen as synth_datagen
+
 from refkit import (
     LanguageTemplate,
     SlotList,
@@ -199,6 +201,20 @@ class TestGeneration:
             generate_datapoints(template, slots, pool, **arguments)
         assert type(raised.value) is ValueError
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "seed", [None, True, 1.5, "1", [1]], ids=["None", "True", "1.5", "'1'", "[1]"]
+    )
+    def test_non_int_seed_rejected(self, seed, monkeypatch):
+        # None would seed from OS entropy and True act as 1; none may reach
+        # the generator, so no draw is made.
+        template, slots = share_template()
+        pool = pool_entities(exclude_types=slots.ground_truth_types)
+        monkeypatch.setattr(synth_datagen, "random", None)
+        with pytest.raises(ValueError) as raised:
+            generate_datapoints(template, slots, pool, seed=seed)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"seed must be an int, got {seed!r}"
 
     def test_zero_samples(self):
         template, slots = share_template()
